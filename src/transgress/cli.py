@@ -19,7 +19,7 @@ import sys
 
 from . import fixtures as fixtures_mod
 from . import lattices, spectral, transgression
-from .exactlin import Matrix, det
+from .exactlin import Matrix, det, is_prime
 from .groupspec import GroupSpecParseError, canonical_spec_string, parse_group_spec
 from .spectral import WeylCapExceededError
 from .transgression import format_combination
@@ -250,9 +250,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--coeff", default="q", metavar="q|P",
                    help="q for rationals or a prime p")
-    p.add_argument("--max-degree", type=int, default=None)
+    p.add_argument("--max-degree", type=int, default=None,
+                   help="truncate at this total degree (0 up to dim G)")
     p.add_argument("--bidegrees", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility (at least 1); no effect")
     p.add_argument("--force", action="store_true",
                    help="ignore the Weyl group size cap")
     p.add_argument("--json", action="store_true")
@@ -272,20 +274,20 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code else EXIT_OK
-    if getattr(args, "coeff", "q") != "q":
-        try:
-            p = int(args.coeff)
-        except ValueError:
-            print(f"error: --coeff must be 'q' or a prime, got {args.coeff!r}",
-                  file=sys.stderr)
-            return EXIT_INPUT
-        if not _is_prime(p):
-            print(f"error: --coeff modulus {p} is not prime", file=sys.stderr)
-            return EXIT_INPUT
-    if getattr(args, "mod", None) is not None and not _is_prime(args.mod):
-        print(f"error: --mod modulus {args.mod} is not prime", file=sys.stderr)
-        return EXIT_INPUT
     try:
+        if getattr(args, "coeff", "q") != "q":
+            try:
+                p = int(args.coeff)
+            except ValueError:
+                print(f"error: --coeff must be 'q' or a prime, got {args.coeff!r}",
+                      file=sys.stderr)
+                return EXIT_INPUT
+            if not is_prime(p):
+                print(f"error: --coeff modulus {p} is not prime", file=sys.stderr)
+                return EXIT_INPUT
+        if getattr(args, "mod", None) is not None and not is_prime(args.mod):
+            print(f"error: --mod modulus {args.mod} is not prime", file=sys.stderr)
+            return EXIT_INPUT
         return args.func(args, sys.stdout)
     except GroupSpecParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -296,12 +298,6 @@ def main(argv=None) -> int:
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-
-
-def _is_prime(p: int) -> bool:
-    from .exactlin import is_prime
-
-    return is_prime(p)
 
 
 if __name__ == "__main__":

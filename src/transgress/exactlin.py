@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
@@ -39,10 +40,6 @@ def identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def zeros(r: int, c: int) -> Matrix:
-    return tuple((0,) * c for _ in range(r))
-
-
 def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m)) if m else ()
 
@@ -52,14 +49,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
     )
-
-
-def mat_vec(m: Matrix, v: Vector) -> Vector:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
-
-
-def vec_mat(v: Vector, m: Matrix) -> Vector:
-    return tuple(sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0])))
 
 
 def det(m: Matrix) -> int:
@@ -83,7 +72,8 @@ def det(m: Matrix) -> int:
     value = Fraction(sign)
     for i in range(n):
         value *= rows[i][i]
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise AssertionError("determinant of an integer matrix is not integral")
     return int(value)
 
 
@@ -319,20 +309,111 @@ class ModPSubspace:
         return not any(v)
 
 
+# The first 13 primes as Miller-Rabin bases decide primality exactly below
+# this bound (Sorenson and Webster, Math. Comp. 86, 2017).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
 def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin test, exact for p < MILLER_RABIN_BOUND.
+
+    Raises ValueError above the bound rather than guess.
+    """
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    if p >= MILLER_RABIN_BOUND:
+        raise ValueError(
+            f"cannot decide whether {p} is prime: the deterministic test "
+            f"covers only numbers below {MILLER_RABIN_BOUND}"
+        )
+    for a in _MILLER_RABIN_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
 def _require_prime(p: int) -> None:
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
+
+
+def _normalize(v: dict[int, int], col: int, p: int | None) -> dict[int, int]:
+    """v divided by its content over Q, or scaled to v[col] = 1 over Z/p."""
+    if p is None:
+        c = gcd(*v.values())
+        return v if c == 1 else {j: x // c for j, x in v.items()}
+    inv = pow(v[col], -1, p)
+    return v if inv == 1 else {j: x * inv % p for j, x in v.items()}
+
+
+def _eliminate(v: dict[int, int], u: dict[int, int], col: int, p: int | None):
+    """Clear column col of v with the pivot row u; over Q divide out the content."""
+    b = v[col]
+    if p is None:
+        a = u[col]
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        if a != 1:
+            v = {j: a * x for j, x in v.items()}
+    for j, y in u.items():
+        x = v.get(j, 0) - b * y
+        if p is not None:
+            x %= p
+        if x:
+            v[j] = x
+        else:
+            v.pop(j, None)
+    if p is None and v:
+        v = _normalize(v, col, p)
+    return v
+
+
+def rank(rows, p: int | None = None) -> int:
+    """Rank of an integer matrix over Q (p None) or over Z/p (p prime).
+
+    Rows are dense integer sequences or {column: value} dicts; they are
+    stored sparsely.  Each row is reduced against the pivot rows found so far,
+    keyed by their leading column, until its leading column is new.  Where
+    two rows lead in the same column the sparser one is kept as the pivot,
+    which limits fill-in.  Over Q the elimination is fraction-free: v becomes
+    (a/g) v - (b/g) u, where u is the pivot row, a and b are the leading
+    entries and g = gcd(a, b), and the content of the result is divided out,
+    so entries stay small integers.  Over Z/p pivot rows are scaled to a
+    leading 1.  p is not checked for primality; callers that take it from a
+    user check it once.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        if p is None:
+            v = {j: x for j, x in items if x}
+        else:
+            v = {j: x % p for j, x in items if x % p}
+        while v:
+            col = min(v)
+            u = pivots.get(col)
+            if u is None or len(v) < len(u):
+                pivots[col] = _normalize(v, col, p)
+                if u is None:
+                    break
+                v, u = u, pivots[col]
+            v = _eliminate(v, u, col, p)
+    return len(pivots)
 
 
 def _rref_mod_p(rows, p):
@@ -359,10 +440,7 @@ def _rref_mod_p(rows, p):
 
 def modp_rank(m: Matrix, p: int) -> int:
     _require_prime(p)
-    if not m:
-        return 0
-    rows, _ = _rref_mod_p(list(m), p)
-    return len(rows)
+    return rank(m, p)
 
 
 def modp_row_space(m: Matrix, p: int) -> ModPSubspace:

@@ -176,10 +176,6 @@ def root_coordinates(rs: RootSystem, v: Vector) -> tuple[Fraction, ...]:
     return tuple(row[0] for row in col)
 
 
-def reflect(rs: RootSystem, v: Vector, i: int) -> Vector:
-    return rs.reflect(v, i)
-
-
 def generate_all_roots(
     cartan: Matrix, simple_roots: tuple[Vector, ...]
 ) -> frozenset[Vector]:

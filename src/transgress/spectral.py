@@ -13,15 +13,14 @@ Coefficients are a field: None means the rationals, an int means Z_p.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import comb, factorial
+from functools import cached_property
+from math import factorial
 
 from . import exactlin, transgression
 from .exactlin import Matrix, Vector
 from .lattices import GroupSpec
-from .rootdata import LieType, RootSystem, positive_roots
+from .rootdata import LieType, RootSystem, positive_roots, root_coordinates
 
 DEFAULT_WEYL_CAP = 2000
 
@@ -60,9 +59,6 @@ class WeylElement:
     def length(self) -> int:
         return len(self.word)
 
-    def apply(self, v: Vector) -> Vector:
-        return exactlin.vec_mat(v, self.action)
-
 
 def _reflection_matrix(rs: RootSystem, beta: Vector) -> Matrix:
     """Action matrix of the reflection in the root beta."""
@@ -71,7 +67,8 @@ def _reflection_matrix(rs: RootSystem, beta: Vector) -> Matrix:
     for k in range(n):
         e_k = tuple(1 if j == k else 0 for j in range(n))
         c = rs.coroot_pairing(e_k, beta)
-        assert c.denominator == 1, "coroot pairing must be integral"
+        if c.denominator != 1:
+            raise AssertionError(f"coroot pairing of {e_k} with {beta} is {c}")
         rows.append(tuple(e_k[j] - int(c) * beta[j] for j in range(n)))
     return tuple(rows)
 
@@ -110,7 +107,10 @@ class WeylGroup:
             level.sort(key=lambda e: e.word)
             seen.update(c.action for c in level)
             elements.extend(level)
-        assert len(elements) == order
+        if len(elements) != order:
+            raise AssertionError(
+                f"enumerated {len(elements)} Weyl group elements, expected {order}"
+            )
         elements.sort(key=lambda e: (e.length, e.word))
         self.elements = tuple(elements)
         self.index = {e.action: i for i, e in enumerate(self.elements)}
@@ -122,6 +122,10 @@ class WeylGroup:
 
     def __len__(self):
         return len(self.elements)
+
+    @cached_property
+    def chevalley_table(self) -> ChevalleyTable:
+        return ChevalleyTable(self)
 
     @property
     def top_length(self) -> int:
@@ -176,6 +180,55 @@ def weyl_degrees(group: WeylGroup) -> tuple[int, ...]:
     return tuple(sorted(degrees))
 
 
+def _chevalley_coefficients(rs: RootSystem, beta: Vector) -> Vector:
+    """<omega_i, beta^vee> for i = 1..n.
+
+    Roots here live in L(T), so beta is a coroot of the usual presentation
+    and these pairings are its coordinates in the simple-root basis.
+    """
+    coords = root_coordinates(rs, beta)
+    if any(c.denominator != 1 or c < 0 for c in coords):
+        raise AssertionError(f"positive root {beta} has coordinates {coords}")
+    return tuple(int(c) for c in coords)
+
+
+class ChevalleyTable:
+    """Root data of the Chevalley rule for one Weyl group, computed once.
+
+    For each positive root beta (in `positive_roots` order) it holds the
+    action matrix of s_beta and the coefficient vector of beta.  The Bruhat
+    covers of an element are computed on first use.
+    """
+
+    def __init__(self, group: WeylGroup):
+        rs = group.root_system
+        self.group = group
+        self.roots = positive_roots(rs)
+        self.reflections = tuple(_reflection_matrix(rs, b) for b in self.roots)
+        self.coefficients = tuple(_chevalley_coefficients(rs, b) for b in self.roots)
+        self._positive = frozenset(self.roots)
+        self._covers: dict[int, tuple[tuple[int, int], ...]] = {}
+
+    def covers(self, w_idx: int) -> tuple[tuple[int, int], ...]:
+        """Pairs (root index k, index of w s_beta_k) with l(w s_beta_k) = l(w) + 1,
+        sorted by element index."""
+        if w_idx not in self._covers:
+            group = self.group
+            w = group.elements[w_idx]
+            out = []
+            for k, beta in enumerate(self.roots):
+                # l(w s_beta) > l(w) exactly when w(beta) is positive.
+                if exactlin.mat_mul((beta,), w.action)[0] not in self._positive:
+                    continue
+                action = exactlin.mat_mul(self.reflections[k], w.action)
+                target = group.index[action]
+                if group.elements[target].length == w.length + 1:
+                    out.append((k, target))
+            out.sort(key=lambda pair: pair[1])
+            self._covers[w_idx] = tuple(out)
+        return self._covers[w_idx]
+
+
 def chevalley_multiply(
     group: WeylGroup, i: int, w: WeylElement
 ) -> list[tuple[int, WeylElement]]:
@@ -185,23 +238,16 @@ def chevalley_multiply(
     of the i-th fundamental weight with the coroot of beta, times the class
     of w s_beta.  Coefficients are nonnegative integers.
     """
-    rs = group.root_system
-    n = rs.rank
+    n = group.root_system.rank
     if not 1 <= i <= n:
         raise IndexError(f"degree-2 index {i} out of range 1..{n}")
-    phi_i = tuple(1 if j == i - 1 else 0 for j in range(n))
-    out = []
-    for beta in positive_roots(rs):
-        action = exactlin.mat_mul(_reflection_matrix(rs, beta), w.action)
-        target = group.elements[group.index[action]]
-        if target.length != w.length + 1:
-            continue
-        coeff = rs.coroot_pairing(phi_i, beta)
-        assert coeff.denominator == 1 and coeff >= 0
-        if coeff:
-            out.append((int(coeff), target))
-    out.sort(key=lambda t: t[1].word)
-    return out
+    table = group.chevalley_table
+    # Targets share one length, so element-index order is word order.
+    return [
+        (table.coefficients[k][i - 1], group.elements[target])
+        for k, target in table.covers(group.index[w.action])
+        if table.coefficients[k][i - 1]
+    ]
 
 
 @dataclass(frozen=True)
@@ -221,26 +267,6 @@ class E2Page:
         return len(self.cells.get((s, t), ()))
 
 
-def _rank(m: Matrix, coefficients: Coefficients) -> int:
-    if not m or not m[0]:
-        return 0
-    if coefficients is None:
-        rows = [[Fraction(x) for x in row] for row in m]
-        rank = 0
-        for col in range(len(rows[0])):
-            pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-            if pivot is None:
-                continue
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            for i in range(rank + 1, len(rows)):
-                if rows[i][col]:
-                    f = rows[i][col] / rows[rank][col]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-            rank += 1
-        return rank
-    return exactlin.modp_rank(m, coefficients)
-
-
 def build_e2(
     g: GroupSpec,
     coefficients: Coefficients = None,
@@ -248,15 +274,22 @@ def build_e2(
     size_cap: int = DEFAULT_WEYL_CAP,
     jobs: int = 1,
 ) -> E2Page:
+    """The E2 page up to total degree max_total_degree (default dim G).
+
+    jobs is accepted for compatibility and must be at least 1; the page is
+    always built in one thread.
+    """
     rs = g.root_system
     n = rs.rank
     dim_g = rs.lie_type.dim_group
     if max_total_degree is None:
         max_total_degree = dim_g
-    if max_total_degree > dim_g:
+    if not 0 <= max_total_degree <= dim_g:
         raise ValueError(
-            f"max total degree {max_total_degree} exceeds dim G = {dim_g}"
+            f"max total degree {max_total_degree} is outside 0..dim G = {dim_g}"
         )
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if coefficients is not None and not exactlin.is_prime(coefficients):
         raise ValueError(f"coefficient modulus {coefficients} is not prime")
     tau = transgression.transgression_matrix(g).matrix
@@ -309,12 +342,7 @@ def build_e2(
     d2_keys = sorted(
         (s, t) for (s, t) in cells if t >= 1 and s + t <= max_total_degree
     )
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            matrices = list(pool.map(lambda k: d2_matrix(*k), d2_keys))
-    else:
-        matrices = [d2_matrix(*k) for k in d2_keys]
-    d2 = dict(zip(d2_keys, matrices))
+    d2 = {k: d2_matrix(*k) for k in d2_keys}
 
     return E2Page(
         group=g,
@@ -345,13 +373,18 @@ def e3_ranks(page: E2Page) -> GradedRanks:
         d: 0 for d in range(page.max_total_degree + 1)
     }
     bidegrees: dict[tuple[int, int], int] = {}
+    # The page's modulus was checked once, in build_e2.
+    d2_ranks = {
+        key: exactlin.rank(m, page.coefficients) for key, m in page.d2.items()
+    }
     for (s, t), basis in sorted(page.cells.items()):
         if s + t > page.max_total_degree:
             continue
-        rank_out = _rank(page.d2.get((s, t), ()), page.coefficients)
-        rank_in = _rank(page.d2.get((s - 2, t + 1), ()), page.coefficients)
+        rank_out = d2_ranks.get((s, t), 0)
+        rank_in = d2_ranks.get((s - 2, t + 1), 0)
         e3 = len(basis) - rank_out - rank_in
-        assert e3 >= 0
+        if e3 < 0:
+            raise AssertionError(f"negative E3 rank {e3} at bidegree ({s}, {t})")
         if e3:
             bidegrees[(s, t)] = e3
             ranks[s + t] += e3

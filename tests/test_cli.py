@@ -133,6 +133,28 @@ class TestE3:
         assert p["max_total_degree"] == 3
         assert [r for _, r in p["ranks"]] == [1, 0, 0, 1]
 
+    def test_negative_max_degree_is_input_error(self, capsys):
+        code, out, err = run_cli(["e3", "A2", "--max-degree", "-1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "max total degree -1" in err
+
+    def test_zero_jobs_is_input_error(self, capsys):
+        code, out, err = run_cli(["e3", "A2", "--jobs", "0"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "jobs" in err
+
+    def test_modulus_beyond_primality_bound_is_input_error(self, capsys):
+        from transgress.exactlin import MILLER_RABIN_BOUND
+
+        big = str(MILLER_RABIN_BOUND + 2)
+        for argv in (["e3", "A1", "--coeff", big], ["tau", "A1", "--mod", big]):
+            code, out, err = run_cli(argv, capsys)
+            assert code == 2
+            assert out == ""
+            assert str(MILLER_RABIN_BOUND) in err
+
     def test_cap_refusal_exit_code(self, capsys):
         code, _, err = run_cli(["e3", "E8"], capsys)
         assert code == 1

@@ -11,13 +11,16 @@ from transgress.exactlin import (
     SingularMatrixError,
     as_matrix,
     det,
+    MILLER_RABIN_BOUND,
     hermite_normal_form,
     identity,
+    is_prime,
     is_unimodular,
     mat_mul,
     modp_cokernel,
     modp_kernel,
     modp_rank,
+    rank,
     smith_normal_form,
     solve_integral,
     solve_rational,
@@ -217,3 +220,111 @@ def test_hermite_properties(rows):
             assert row[nz] > 0
             for k in range(i):
                 assert 0 <= h[k][nz] < row[nz]
+
+
+def trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+class TestIsPrime:
+    def test_agrees_with_trial_division_below_ten_thousand(self):
+        assert [n for n in range(-3, 10_000) if is_prime(n)] == [
+            n for n in range(-3, 10_000) if trial_division_is_prime(n)
+        ]
+
+    @pytest.mark.parametrize("n", [
+        999999999989,  # the largest 12-digit prime
+        1000000000000000003,
+        2**61 - 1,
+        2**79 - 67,
+    ])
+    def test_large_primes(self, n):
+        assert is_prime(n)
+
+    @pytest.mark.parametrize("n", [
+        561,  # Carmichael
+        3215031751,  # strong pseudoprime to bases 2, 3, 5, 7
+        3825123056546413051,  # strong pseudoprime to bases 2 .. 23
+        318665857834031151167461,  # strong pseudoprime to bases 2 .. 37
+        999999999989 * 1000000007,
+        (2**61 - 1) * (2**13 - 1),
+    ])
+    def test_composites(self, n):
+        assert not is_prime(n)
+
+    def test_above_bound_refuses_and_names_bound(self):
+        assert not is_prime(MILLER_RABIN_BOUND - 1)  # even
+        with pytest.raises(ValueError, match=str(MILLER_RABIN_BOUND)):
+            is_prime(MILLER_RABIN_BOUND + 2)
+
+
+def dense_fraction_rank(rows):
+    """Rank over Q by dense Gaussian elimination over Fraction."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    r = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        for i in range(r + 1, len(m)):
+            if m[i][col]:
+                f = m[i][col] / m[r][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
+BIG_PRIME = 999999999989
+
+# 0..6 rows and 0..6 columns with entries in [-9, 9], then some rows and
+# columns zeroed.  By Hadamard's bound every minor is below 9^6 * 6^3 <
+# BIG_PRIME, so rank mod BIG_PRIME equals rank over Q.
+integer_matrices = st.integers(min_value=0, max_value=6).flatmap(
+    lambda r: st.integers(min_value=0, max_value=6).flatmap(
+        lambda c: st.tuples(
+            st.lists(
+                st.lists(st.integers(min_value=-9, max_value=9),
+                         min_size=c, max_size=c),
+                min_size=r,
+                max_size=r,
+            ),
+            st.sets(st.integers(min_value=0, max_value=5)),
+            st.sets(st.integers(min_value=0, max_value=5)),
+        )
+    )
+).map(
+    lambda t: tuple(
+        tuple(0 if i in t[1] or j in t[2] else x for j, x in enumerate(row))
+        for i, row in enumerate(t[0])
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices)
+def test_rank_kernel(m):
+    rank_q = rank(m)
+    assert rank_q == dense_fraction_rank(m)
+    assert rank([{j: x for j, x in enumerate(row) if x} for row in m]) == rank_q
+    cols = len(m[0]) if m else 0
+    for p in (2, 3, BIG_PRIME):
+        rank_p = modp_rank(m, p)
+        assert rank_p == rank(m, p)
+        assert rank_p <= rank_q
+        if m:
+            assert rank_p == cols - modp_kernel(m, p).dim
+    assert modp_rank(m, BIG_PRIME) == rank_q
+
+
+def test_rank_of_empty_and_zero_matrices():
+    assert rank(()) == 0
+    assert rank(((), ())) == 0
+    assert rank(((0, 0), (0, 0)), 3) == 0
+    assert rank([{}, {5: 0}]) == 0
+
+
+def test_rank_keeps_large_entries_exact():
+    big = 10**40
+    assert rank(((big, big + 1), (big + 1, big + 2))) == 2
+    assert rank(((big, 2 * big), (3, 6))) == 1

@@ -12,6 +12,7 @@ from transgress import (
     weyl_degrees,
     weyl_group,
 )
+from transgress import spectral
 from transgress.exactlin import modp_rank
 from transgress.spectral import WeylCapExceededError, weyl_order
 from transgress.transgression import modp_analysis
@@ -184,6 +185,42 @@ class TestChevalley:
                     assert target.length == e.length + 1
 
 
+# <alpha_i, alpha_j^vee> for the usual roots, Bourbaki numbering (Plates II,
+# III, IX): B2 has alpha_1 long, C2 and G2 have alpha_1 short.
+BOURBAKI_PAIRINGS = {
+    "B2": {(1, 2): -2, (2, 1): -1},
+    "C2": {(1, 2): -1, (2, 1): -2},
+    "G2": {(1, 2): -1, (2, 1): -3},
+}
+
+
+class TestChevalleyCoefficient:
+    @pytest.mark.parametrize("name", sorted(BOURBAKI_PAIRINGS))
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_square_of_divisor_class(self, name, j):
+        # sigma_{s_j}^2 = -<alpha_j, alpha_i^vee> sigma_{s_i s_j} (i != j):
+        # the only cover of s_j with a nonzero omega_j pairing is s_j s_beta,
+        # beta = s_j(alpha_i), and <omega_j, beta^vee> = -<alpha_j, alpha_i^vee>.
+        i = 3 - j
+        w = cached_weyl_group(name)
+        s_j = next(e for e in w.elements if e.word == (j,))
+        got = [(c, e.word) for c, e in chevalley_multiply(w, j, s_j)]
+        assert got == [(-BOURBAKI_PAIRINGS[name][(j, i)], (i, j))]
+
+    def test_positive_roots_computed_once_per_page(self, monkeypatch):
+        calls = []
+        original = spectral.positive_roots
+
+        def counting(rs):
+            calls.append(rs)
+            return original(rs)
+
+        monkeypatch.setattr(spectral, "positive_roots", counting)
+        rs = cached_root_system("B3")
+        e3_ranks(build_e2(group_spec(rs, ()), coefficients=2))
+        assert len(calls) == 1
+
+
 class TestE2Page:
     def test_su2_cells_and_d2(self):
         g = group_spec(cached_root_system("A1"), ())
@@ -291,3 +328,29 @@ class TestRationalAcceptanceOracle:
         dim_g = rs.lie_type.dim_group
         want = exterior_poincare(weyl_degrees(page.weyl), dim_g)
         assert list(e3_ranks(page).as_tuple(dim_g)) == want
+
+
+# Invariant degrees and torsion primes, written out by hand (Borel 1953;
+# Kac 1985): for simply connected G and p not a torsion prime, E3 mod p is
+# the exterior algebra on generators of degrees 2d - 1.
+SC_DEGREES = {
+    "A1": (2,), "A2": (2, 3), "A3": (2, 3, 4), "A4": (2, 3, 4, 5),
+    "B2": (2, 4), "B3": (2, 4, 6), "B4": (2, 4, 6, 8),
+    "C2": (2, 4), "C3": (2, 4, 6), "C4": (2, 4, 6, 8),
+    "D3": (2, 3, 4), "D4": (2, 4, 4, 6), "F4": (2, 6, 8, 12), "G2": (2, 6),
+}
+TORSION_PRIMES = {"B3": {2}, "B4": {2}, "D4": {2}, "F4": {2, 3}, "G2": {2}}
+
+
+@pytest.mark.parametrize("name,p", [
+    (name, p)
+    for name in SC_DEGREES
+    for p in (2, 3, 5)
+    if p not in TORSION_PRIMES.get(name, ())
+])
+def test_sc_e3_mod_p_is_exterior_away_from_torsion(name, p):
+    rs = cached_root_system(name)
+    page = build_e2(group_spec(rs, ()), coefficients=p)
+    dim_g = rs.lie_type.dim_group
+    want = exterior_poincare(SC_DEGREES[name], dim_g)
+    assert list(e3_ranks(page).as_tuple(dim_g)) == want
