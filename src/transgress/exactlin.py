@@ -2,9 +2,14 @@
 
 Everything here works over Python ints and fractions.Fraction; there is no
 floating point anywhere in this package.  Matrices are immutable tuples of
-tuples of ints (rows), vectors are tuples of ints.  Intermediate entries of
-the normal-form algorithms can exceed machine words, which is why arbitrary
-precision is non-negotiable.
+tuples of ints (rows), vectors are tuples of ints; rank and the eliminator
+behind it also take rows as sparse {column: value} dicts.  Intermediate
+entries of the normal-form algorithms can exceed machine words, which is why
+arbitrary precision is non-negotiable.
+
+_echelon is the one elimination loop for ranks over Q and Z/p and for the
+mod-p row spaces, kernels and cokernels; det and solve_rational keep their
+own dense Fraction elimination.
 """
 
 from __future__ import annotations
@@ -300,13 +305,7 @@ class ModPSubspace:
     def contains(self, vec: Vector) -> bool:
         if len(vec) != self.ambient_dim:
             raise ValueError("vector has wrong dimension")
-        v = [x % self.p for x in vec]
-        for row in self.basis:
-            piv = next(j for j, x in enumerate(row) if x)
-            if v[piv]:
-                f = v[piv]
-                v = [(a - f * b) % self.p for a, b in zip(v, row)]
-        return not any(v)
+        return rank(self.basis + (vec,), self.p) == self.dim
 
 
 # The first 13 primes as Miller-Rabin bases decide primality exactly below
@@ -383,8 +382,8 @@ def _eliminate(v: dict[int, int], u: dict[int, int], col: int, p: int | None):
     return v
 
 
-def rank(rows, p: int | None = None) -> int:
-    """Rank of an integer matrix over Q (p None) or over Z/p (p prime).
+def _echelon(rows, p: int | None) -> dict[int, dict[int, int]]:
+    """Echelon form of an integer matrix over Q (p None) or over Z/p (p prime).
 
     Rows are dense integer sequences or {column: value} dicts; they are
     stored sparsely.  Each row is reduced against the pivot rows found so far,
@@ -394,7 +393,8 @@ def rank(rows, p: int | None = None) -> int:
     (a/g) v - (b/g) u, where u is the pivot row, a and b are the leading
     entries and g = gcd(a, b), and the content of the result is divided out,
     so entries stay small integers.  Over Z/p pivot rows are scaled to a
-    leading 1.  p is not checked for primality; callers that take it from a
+    leading 1.  Returns {leading column: pivot row}; the pivot rows span the
+    row space.  p is not checked for primality; callers that take it from a
     user check it once.
     """
     pivots: dict[int, dict[int, int]] = {}
@@ -413,29 +413,30 @@ def rank(rows, p: int | None = None) -> int:
                     break
                 v, u = u, pivots[col]
             v = _eliminate(v, u, col, p)
-    return len(pivots)
+    return pivots
 
 
-def _rref_mod_p(rows, p):
-    """Reduced row echelon form mod p; returns (nonzero rows, pivot columns)."""
-    m = [[x % p for x in row] for row in rows]
-    n_cols = len(m[0]) if m else 0
-    pivots = []
-    rank = 0
-    for col in range(n_cols):
-        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = pow(m[rank][col], p - 2, p) if p > 2 else m[rank][col]
-        m[rank] = [(x * inv) % p for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col]:
-                f = m[i][col]
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[rank])]
-        pivots.append(col)
-        rank += 1
-    return [tuple(row) for row in m[:rank]], pivots
+def rank(rows, p: int | None = None) -> int:
+    """Rank of an integer matrix over Q (p None) or over Z/p (p prime); rows
+    as for _echelon."""
+    return len(_echelon(rows, p))
+
+
+def _reduce(pivots: dict[int, dict[int, int]], p: int) -> dict[int, dict[int, int]]:
+    """Back-substitution mod p: turns the echelon form from _echelon into the
+    reduced one, in place.  Rows with later leading columns are reduced first,
+    so each pivot column cleared from a row is already zero in every other
+    pivot row."""
+    for col in sorted(pivots, reverse=True):
+        for j in sorted(j for j in pivots[col] if j != col and j in pivots):
+            pivots[col] = _eliminate(pivots[col], pivots[j], j, p)
+    return pivots
+
+
+def _dense(pivots: dict[int, dict[int, int]], n_cols: int) -> tuple[Vector, ...]:
+    return tuple(
+        tuple(row.get(j, 0) for j in range(n_cols)) for _, row in sorted(pivots.items())
+    )
 
 
 def modp_rank(m: Matrix, p: int) -> int:
@@ -445,40 +446,34 @@ def modp_rank(m: Matrix, p: int) -> int:
 
 def modp_row_space(m: Matrix, p: int) -> ModPSubspace:
     _require_prime(p)
-    rows, _ = _rref_mod_p(list(m), p)
-    return ModPSubspace(p=p, ambient_dim=len(m[0]) if m else 0, basis=tuple(rows))
+    c = dims(m)[1]
+    basis = _dense(_reduce(_echelon(m, p), p), c)
+    return ModPSubspace(p=p, ambient_dim=c, basis=basis)
 
 
 def modp_kernel(m: Matrix, p: int) -> ModPSubspace:
     """Null space of M mod p (column-vector convention: M v = 0)."""
     _require_prime(p)
-    r, c = dims(m)
-    rows, pivots = _rref_mod_p(list(m), p)
-    free = [j for j in range(c) if j not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * c
-        v[f] = 1
-        for i, piv in enumerate(pivots):
-            v[piv] = (-rows[i][f]) % p
-        basis.append(v)
-    reduced, _ = _rref_mod_p(basis, p) if basis else ([], [])
-    return ModPSubspace(p=p, ambient_dim=c, basis=tuple(reduced))
+    c = dims(m)[1]
+    rows = _reduce(_echelon(m, p), p)
+    basis = [
+        {f: 1, **{piv: -row[f] % p for piv, row in rows.items() if f in row}}
+        for f in range(c)
+        if f not in rows
+    ]
+    basis = _dense(_reduce(_echelon(basis, p), p), c)
+    return ModPSubspace(p=p, ambient_dim=c, basis=basis)
 
 
 def modp_cokernel(m: Matrix, p: int) -> ModPSubspace:
     """(Z_p)^rows modulo the column space of M, via canonical representatives.
 
-    The representatives are the standard basis vectors at the non-pivot
-    coordinates of the column space's reduced echelon form.
+    The representatives are the standard basis vectors at the coordinates
+    that lead no row of an echelon form of the column space; that set of
+    coordinates depends only on the column space.
     """
     _require_prime(p)
-    r, c = dims(m)
-    _, pivots = _rref_mod_p([list(col) for col in transpose(m)] or [[0] * r], p)
-    reps = []
-    for j in range(r):
-        if j not in pivots:
-            v = [0] * r
-            v[j] = 1
-            reps.append(tuple(v))
-    return ModPSubspace(p=p, ambient_dim=r, basis=tuple(reps))
+    r = len(m)
+    pivots = _echelon(transpose(m), p)
+    reps = tuple(e for j, e in enumerate(identity(r)) if j not in pivots)
+    return ModPSubspace(p=p, ambient_dim=r, basis=reps)

@@ -228,5 +228,7 @@ def build_root_system(t: LieType) -> RootSystem:
 
 def positive_roots(rs: RootSystem) -> tuple[Vector, ...]:
     """The positive half of the root system, sorted for determinism."""
-    pos = [v for v in rs.all_roots if rs.is_positive_root(v)]
-    return tuple(sorted(pos, key=lambda v: (sum(root_coordinates(rs, v)), v)))
+    coords = {v: root_coordinates(rs, v) for v in rs.all_roots}
+    # A root is nonzero, so nonnegative coordinates make it positive.
+    pos = [v for v, c in coords.items() if all(x >= 0 for x in c)]
+    return tuple(sorted(pos, key=lambda v: (sum(coords[v]), v)))

@@ -89,29 +89,27 @@ class WeylGroup:
         elements = [WeylElement(word=(), action=ident)]
         seen = {ident}
         level = [elements[0]]
+        # Each level is in word order and i ascends, so the words w.word + (i,)
+        # come up in lex order: the first one found for an action is its
+        # lex-least reduced word, and each new level is again in word order.
         while level:
             candidates: dict[Matrix, tuple[int, ...]] = {}
-            for w in sorted(level, key=lambda e: e.word):
+            for w in level:
                 for i in range(1, n + 1):
                     # w' = w * s_i acts by v -> w(s_i(v)).
                     action = exactlin.mat_mul(self.simple_actions[i - 1], w.action)
-                    if action in seen:
-                        continue
-                    word = w.word + (i,)
-                    if action not in candidates or word < candidates[action]:
-                        candidates[action] = word
+                    if action not in seen and action not in candidates:
+                        candidates[action] = w.word + (i,)
             level = [
                 WeylElement(word=word, action=action)
                 for action, word in candidates.items()
             ]
-            level.sort(key=lambda e: e.word)
-            seen.update(c.action for c in level)
+            seen.update(candidates)
             elements.extend(level)
         if len(elements) != order:
             raise AssertionError(
                 f"enumerated {len(elements)} Weyl group elements, expected {order}"
             )
-        elements.sort(key=lambda e: (e.length, e.word))
         self.elements = tuple(elements)
         self.index = {e.action: i for i, e in enumerate(self.elements)}
         self.by_length: dict[int, tuple[int, ...]] = {}
@@ -309,14 +307,14 @@ def build_e2(
             )
             cells[(s, t)] = basis
 
-    products: dict[tuple[int, int], list[tuple[int, int]]] = {}
-
-    def product(l: int, w_idx: int):  # omega_l * sigma_w as index pairs
-        key = (l, w_idx)
-        if key not in products:
-            terms = chevalley_multiply(weyl, l, weyl.elements[w_idx])
-            products[key] = [(c, weyl.index[e.action]) for c, e in terms]
-        return products[key]
+    # d2(sigma_w (x) t_g) has coefficient paired[k][g] at sigma_{w s_beta_k}:
+    # tau(t_g) = sum_l tau[g][l] omega_l, and omega_l contributes the l-th
+    # coefficient of beta_k.
+    table = weyl.chevalley_table
+    paired = tuple(
+        tuple(sum(t * c for t, c in zip(tau_g, coeffs)) for tau_g in tau)
+        for coeffs in table.coefficients
+    )
 
     def d2_matrix(s: int, t: int) -> Matrix:
         source = cells[(s, t)]
@@ -328,14 +326,10 @@ def build_e2(
             for j, gen in enumerate(mono):
                 rest = mono[:j] + mono[j + 1 :]
                 sign = -1 if j % 2 else 1
-                for l in range(1, n + 1):
-                    coeff = tau[gen - 1][l - 1]
-                    if not coeff:
-                        continue
-                    for c, tgt_idx in product(l, w_idx):
-                        key = (tgt_idx, rest)
-                        if key in pos:
-                            row[pos[key]] += sign * coeff * c
+                for k, tgt_idx in table.covers(w_idx):
+                    key = (tgt_idx, rest)
+                    if key in pos:
+                        row[pos[key]] += sign * paired[k][gen - 1]
             rows.append(tuple(row))
         return tuple(rows)
 

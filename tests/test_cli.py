@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -235,3 +236,28 @@ class TestParseErrorsAtCli:
     def test_rank_out_of_range(self, capsys):
         code, _, err = run_cli(["tau", "B1"], capsys)
         assert code == 2
+
+
+# sha256 of the stdout of each call, recorded before the mod-p eliminator and
+# the d2 assembly were rewritten; the output must stay byte-identical.
+GOLDEN_STDOUT_SHA256 = {
+    "describe D4:adj --json":
+        "ac5b4a6a6755b07a89f8ba2ad036ae6852c7f5a27b9dc4d12b92d736e7ad0698",
+    "tau C3:adj --mod 2 --json":
+        "9830eee3ba3b4c3e19d27a67b8d57e6559f838a8106c53bddf3a597b04de21e1",
+    "tau D4:pi1=[1,0,1,0] --mod 2":
+        "a7f547235d8adba7c38d5dc4c32bf2bab9394e34f2d88440c6b7394ddab0d636",
+    "e3 B3 --json --bidegrees":
+        "c3dcde55982f56a2800b3a665d8c63b1bfb7570fac21d12f12644af54efbde86",
+    "e3 C4 --coeff 2 --max-degree 5 --json --bidegrees":
+        "8af356844054838de1e05736984e09e36aee630b71634120bf38cf89f6914d13",
+    "e3 A2 --coeff 999999999989 --json":
+        "6a811c4468f0f01a04f1a11e4515030baf1aba4b46f506d81a7101019fce69cf",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_STDOUT_SHA256))
+def test_golden_stdout_digest(argv, capsys):
+    code, out, _ = run_cli(argv.split(), capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT_SHA256[argv]

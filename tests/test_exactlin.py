@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from transgress.exactlin import (
     modp_cokernel,
     modp_kernel,
     modp_rank,
+    modp_row_space,
     rank,
     smith_normal_form,
     solve_integral,
@@ -328,3 +330,60 @@ def test_rank_keeps_large_entries_exact():
     big = 10**40
     assert rank(((big, big + 1), (big + 1, big + 2))) == 2
     assert rank(((big, 2 * big), (3, 6))) == 1
+
+
+def _span(vectors, p, n):
+    """Every F_p-combination of the vectors, by brute force."""
+    out = {(0,) * n}
+    for v in vectors:
+        out = {
+            tuple((a + k * b) % p for a, b in zip(w, v)) for w in out for k in range(p)
+        }
+    return out
+
+
+small_matrices = st.integers(min_value=0, max_value=3).flatmap(
+    lambda r: st.integers(min_value=0, max_value=3).flatmap(
+        lambda c: st.lists(
+            st.lists(st.integers(min_value=-4, max_value=4), min_size=c, max_size=c),
+            min_size=r,
+            max_size=r,
+        )
+    )
+).map(lambda rows: tuple(tuple(row) for row in rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_matrices, st.sampled_from([2, 3]))
+def test_modp_subspaces_against_brute_force(m, p):
+    # An oracle sharing no code with the eliminator: all of F_p^n enumerated.
+    r, c = len(m), len(m[0]) if m else 0
+    domain = list(itertools.product(range(p), repeat=c))
+
+    ker = modp_kernel(m, p)
+    null = {
+        x for x in domain
+        if all(sum(a * b for a, b in zip(row, x)) % p == 0 for row in m)
+    }
+    assert _span(ker.basis, p, c) == null
+    leads = [next(j for j, x in enumerate(v) if x) for v in ker.basis]
+    assert leads == sorted(set(leads))
+    for v, lead in zip(ker.basis, leads):
+        assert v[lead] == 1 and all(0 <= x < p for x in v)
+        assert all(w[lead] == 0 for w in ker.basis if w is not v)
+    for x in domain:
+        assert ker.contains(x) == (x in null)
+        assert ker.contains(tuple(a - p for a in x)) == (x in null)
+
+    image = {
+        tuple(sum(a * b for a, b in zip(row, x)) % p for row in m) for x in domain
+    }
+    reps = _span(modp_cokernel(m, p).basis, p, r)
+    assert reps & image == {(0,) * r}
+    assert len(reps) * len(image) == p**r
+
+    rows = _span(m, p, c)
+    row_space = modp_row_space(m, p)
+    assert len(row_space.basis) == modp_rank(m, p)
+    for x in domain:
+        assert row_space.contains(x) == (x in rows)

@@ -68,6 +68,35 @@ class TestWeylGroup:
             w = cached_weyl_group(name)
             assert w.top_length == w.root_system.lie_type.root_count // 2
 
+    @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "C3"])
+    def test_words_are_first_in_shortlex_order(self, name):
+        # Oracle sharing no code with the enumeration: every word in
+        # (length, lex) order, each element named by its image of the regular
+        # weight rho = (1, ..., 1) under RootSystem.reflect.
+        w = cached_weyl_group(name)
+        rs = w.root_system
+        n = rs.rank
+        rho = (1,) * n
+        first = {rho: ()}
+        images = {(): rho}  # words of the current length -> image of rho
+        for _ in range(w.top_length):
+            # Prepending s_i to u maps u(rho) to s_i(u(rho)).
+            images = {
+                (i,) + u: rs.reflect(v, i)
+                for u, v in images.items()
+                for i in range(1, n + 1)
+            }
+            for word in sorted(images):
+                first.setdefault(images[word], word)
+        assert len(first) == len(w)
+        for e in w.elements:
+            v = rho
+            for i in reversed(e.word):
+                v = rs.reflect(v, i)
+            assert first[v] == e.word
+        keys = [(e.length, e.word) for e in w.elements]
+        assert keys == sorted(keys)
+
 
 class TestWeylDegrees:
     @pytest.mark.parametrize("name,degrees", [
