@@ -7,8 +7,9 @@
     transgress fixtures [--corpus PATH] [--json]
 
 Exit codes: 0 success, 1 computation refusal (size caps), 2 input error,
-3 fixture failure.  JSON output is deterministic: identical invocations
-produce byte-identical documents.
+3 fixture failure, 4 internal error (a failed consistency check).  JSON
+output is deterministic: identical invocations produce byte-identical
+documents.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from . import fixtures as fixtures_mod
 from . import lattices, spectral, transgression
 from .exactlin import Matrix, det, is_prime
 from .groupspec import GroupSpecParseError, canonical_spec_string, parse_group_spec
+from .lattices import LatticeConsistencyError
 from .spectral import WeylCapExceededError
 from .transgression import format_combination
 
@@ -30,6 +32,7 @@ EXIT_OK = 0
 EXIT_REFUSED = 1
 EXIT_INPUT = 2
 EXIT_FIXTURES = 3
+EXIT_INTERNAL = 4
 
 
 def _document(kind: str, group: str | None, payload: dict, provenance=()) -> dict:
@@ -256,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted for compatibility (at least 1); no effect")
     p.add_argument("--force", action="store_true",
-                   help="ignore the Weyl group size cap")
+                   help="ignore the size cap on the Weyl group elements of "
+                   "length <= (D + 1) // 2 that the page uses")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_e3)
 
@@ -298,6 +302,9 @@ def main(argv=None) -> int:
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except (LatticeConsistencyError, AssertionError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -227,8 +227,27 @@ def build_root_system(t: LieType) -> RootSystem:
 
 
 def positive_roots(rs: RootSystem) -> tuple[Vector, ...]:
-    """The positive half of the root system, sorted for determinism."""
-    coords = {v: root_coordinates(rs, v) for v in rs.all_roots}
-    # A root is nonzero, so nonnegative coordinates make it positive.
-    pos = [v for v, c in coords.items() if all(x >= 0 for x in c)]
-    return tuple(sorted(pos, key=lambda v: (sum(coords[v]), v)))
+    """The positive half of the root system, sorted by (height, coordinates).
+
+    One integer search up from the simple roots: for a positive root beta
+    with beta_i = <beta, alpha_i^vee> < 0, s_i(beta) = beta - beta_i alpha_i is
+    positive and higher by -beta_i, and every positive root is reached so.
+    """
+    height = {alpha: 1 for alpha in rs.simple_roots}
+    frontier = list(rs.simple_roots)
+    while frontier:
+        new = []
+        for beta in frontier:
+            for alpha, b in zip(rs.simple_roots, beta):
+                if b < 0:
+                    up = tuple(x - b * a for x, a in zip(beta, alpha))
+                    if up not in height:
+                        height[up] = height[beta] - b
+                        new.append(up)
+        frontier = new
+    if 2 * len(height) != rs.lie_type.root_count:
+        raise AssertionError(
+            f"{rs.lie_type}: found {len(height)} positive roots, "
+            f"expected {rs.lie_type.root_count // 2}"
+        )
+    return tuple(sorted(height, key=lambda v: (height[v], v)))

@@ -13,14 +13,14 @@ Coefficients are a field: None means the rationals, an int means Z_p.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import factorial
 
 from . import exactlin, transgression
 from .exactlin import Matrix, Vector
 from .lattices import GroupSpec
-from .rootdata import LieType, RootSystem, positive_roots, root_coordinates
+from .rootdata import LieType, RootSystem, positive_roots
 
 DEFAULT_WEYL_CAP = 2000
 
@@ -28,83 +28,111 @@ Coefficients = int | None  # None = rationals, int p = prime field
 
 
 class WeylCapExceededError(RuntimeError):
-    def __init__(self, lie_type: LieType, order: int, cap: int):
+    def __init__(
+        self, lie_type: LieType, order: int, cap: int, max_length: int | None = None
+    ):
         self.order = order
+        what = "elements"
+        if max_length is not None:
+            what += f" of length <= {max_length}"
         super().__init__(
-            f"Weyl group of {lie_type} has {order} elements, above the cap {cap}"
+            f"Weyl group of {lie_type} has {order} {what}, above the cap {cap}"
         )
 
 
-def weyl_order(t: LieType) -> int:
+def invariant_degrees(t: LieType) -> tuple[int, ...]:
+    """Degrees of the basic Weyl-group invariants (Bourbaki, Plates I-IX)."""
     n = t.rank
     if t.family == "A":
-        return factorial(n + 1)
+        return tuple(range(2, n + 2))
     if t.family in "BC":
-        return 2**n * factorial(n)
+        return tuple(range(2, 2 * n + 1, 2))
     if t.family == "D":
-        return 2 ** (n - 1) * factorial(n)
-    if t.family == "E":
-        return {6: 51840, 7: 2903040, 8: 696729600}[n]
-    if t.family == "F":
-        return 1152
-    return 12  # G2
+        return tuple(sorted([*range(2, 2 * n - 1, 2), n]))
+    return {
+        "E6": (2, 5, 6, 8, 9, 12),
+        "E7": (2, 6, 8, 10, 12, 14, 18),
+        "E8": (2, 8, 12, 14, 18, 20, 24, 30),
+        "F4": (2, 6, 8, 12),
+        "G2": (2, 6),
+    }[str(t)]
+
+
+def weyl_order(t: LieType) -> int:
+    return math.prod(invariant_degrees(t))
+
+
+def length_count(t: LieType, max_length: int | None = None) -> int:
+    """Number of Weyl group elements of length <= max_length (default: all).
+
+    The length generating function is the product of the q-integers
+    1 + q + ... + q^(d-1) over the invariant degrees d.
+    """
+    poly = [1]
+    for d in invariant_degrees(t):
+        new = [0] * (len(poly) + d - 1)
+        for k, c in enumerate(poly):
+            for j in range(k, k + d):
+                new[j] += c
+        poly = new
+    return sum(poly if max_length is None else poly[: max_length + 1])
 
 
 @dataclass(frozen=True)
 class WeylElement:
     word: tuple[int, ...]  # lexicographically least reduced word, 1-based
-    action: Matrix  # row k = image of the k-th fundamental weight
+    action: Vector  # w^-1(rho), rho = (1, ..., 1): a key that names w
 
     @property
     def length(self) -> int:
         return len(self.word)
 
 
-def _reflection_matrix(rs: RootSystem, beta: Vector) -> Matrix:
-    """Action matrix of the reflection in the root beta."""
-    n = rs.rank
-    rows = []
-    for k in range(n):
-        e_k = tuple(1 if j == k else 0 for j in range(n))
-        c = rs.coroot_pairing(e_k, beta)
-        if c.denominator != 1:
-            raise AssertionError(f"coroot pairing of {e_k} with {beta} is {c}")
-        rows.append(tuple(e_k[j] - int(c) * beta[j] for j in range(n)))
-    return tuple(rows)
-
-
 class WeylGroup:
-    """Full enumeration with canonical (lex-least) reduced words."""
+    """The elements of length <= max_length (default: all), in shortlex order
+    of their lex-least reduced words.
 
-    def __init__(self, rs: RootSystem, size_cap: int = DEFAULT_WEYL_CAP):
-        order = weyl_order(rs.lie_type)
+    Each element w is keyed by w^-1(rho).  Then w s_i has key s_i(w^-1(rho)),
+    and l(w s_i) > l(w) exactly when the i-th coordinate of the key is
+    positive (Casselman, Invent. Math. 116, 1994).  The size cap counts the
+    elements that will be enumerated, before the search runs.
+    """
+
+    def __init__(
+        self,
+        rs: RootSystem,
+        size_cap: int = DEFAULT_WEYL_CAP,
+        max_length: int | None = None,
+    ):
+        t = rs.lie_type
+        longest = t.root_count // 2
+        if max_length is not None:
+            if max_length < 0:
+                raise ValueError(f"max length {max_length} is negative")
+            if max_length >= longest:
+                max_length = None
+        order = length_count(t, max_length)
         if order > size_cap:
-            raise WeylCapExceededError(rs.lie_type, order, size_cap)
+            raise WeylCapExceededError(t, order, size_cap, max_length)
         self.root_system = rs
+        self.max_length = max_length  # None: the whole group
         n = rs.rank
-        self.simple_actions = tuple(
-            _reflection_matrix(rs, rs.simple_roots[i]) for i in range(n)
-        )
-        ident = exactlin.identity(n)
-        elements = [WeylElement(word=(), action=ident)]
-        seen = {ident}
+        elements = [WeylElement(word=(), action=(1,) * n)]
         level = [elements[0]]
         # Each level is in word order and i ascends, so the words w.word + (i,)
-        # come up in lex order: the first one found for an action is its
-        # lex-least reduced word, and each new level is again in word order.
-        while level:
-            candidates: dict[Matrix, tuple[int, ...]] = {}
+        # come up in lex order: the first one found for a key is its lex-least
+        # reduced word, and each new level is again in word order.
+        for _ in range(longest if max_length is None else max_length):
+            candidates: dict[Vector, tuple[int, ...]] = {}
             for w in level:
                 for i in range(1, n + 1):
-                    # w' = w * s_i acts by v -> w(s_i(v)).
-                    action = exactlin.mat_mul(self.simple_actions[i - 1], w.action)
-                    if action not in seen and action not in candidates:
-                        candidates[action] = w.word + (i,)
+                    if w.action[i - 1] > 0:
+                        key = rs.reflect(w.action, i)
+                        if key not in candidates:
+                            candidates[key] = w.word + (i,)
             level = [
-                WeylElement(word=word, action=action)
-                for action, word in candidates.items()
+                WeylElement(word=word, action=key) for key, word in candidates.items()
             ]
-            seen.update(candidates)
             elements.extend(level)
         if len(elements) != order:
             raise AssertionError(
@@ -136,8 +164,10 @@ class WeylGroup:
         )
 
 
-def weyl_group(rs: RootSystem, size_cap: int = DEFAULT_WEYL_CAP) -> WeylGroup:
-    return WeylGroup(rs, size_cap)
+def weyl_group(
+    rs: RootSystem, size_cap: int = DEFAULT_WEYL_CAP, max_length: int | None = None
+) -> WeylGroup:
+    return WeylGroup(rs, size_cap, max_length)
 
 
 def _divide_poly(num: list[int], den: list[int]) -> list[int] | None:
@@ -159,6 +189,11 @@ def _divide_poly(num: list[int], den: list[int]) -> list[int] | None:
 def weyl_degrees(group: WeylGroup) -> tuple[int, ...]:
     """Invariant degrees d_1..d_n from factoring the length generating function
     as a product of q-integers 1 + q + ... + q^(d-1)."""
+    if group.max_length is not None:
+        raise ValueError(
+            f"Weyl group of {group.root_system.lie_type} is truncated at length "
+            f"{group.max_length}; its degrees need the whole group"
+        )
     poly = list(group.length_counts())
     n = group.root_system.rank
     degrees = []
@@ -178,48 +213,60 @@ def weyl_degrees(group: WeylGroup) -> tuple[int, ...]:
     return tuple(sorted(degrees))
 
 
-def _chevalley_coefficients(rs: RootSystem, beta: Vector) -> Vector:
-    """<omega_i, beta^vee> for i = 1..n.
-
-    Roots here live in L(T), so beta is a coroot of the usual presentation
-    and these pairings are its coordinates in the simple-root basis.
-    """
-    coords = root_coordinates(rs, beta)
-    if any(c.denominator != 1 or c < 0 for c in coords):
-        raise AssertionError(f"positive root {beta} has coordinates {coords}")
-    return tuple(int(c) for c in coords)
-
-
 class ChevalleyTable:
     """Root data of the Chevalley rule for one Weyl group, computed once.
 
-    For each positive root beta (in `positive_roots` order) it holds the
-    action matrix of s_beta and the coefficient vector of beta.  The Bruhat
-    covers of an element are computed on first use.
+    For each positive root beta (in `positive_roots` order) it holds two
+    integer vectors.  `coefficients` are the coordinates of beta in the simple
+    roots: roots here live in L(T), so beta is a coroot of the usual
+    presentation and these are its Chevalley coefficients <omega_i, beta^vee>.
+    `coroots` are the pairings `rs.coroot_pairing(e_i, beta)` of this
+    presentation, which give s_beta on the keys w^-1(rho).  The Bruhat covers
+    of an element are computed on first use.
     """
 
     def __init__(self, group: WeylGroup):
         rs = group.root_system
+        n = rs.rank
         self.group = group
         self.roots = positive_roots(rs)
-        self.reflections = tuple(_reflection_matrix(rs, b) for b in self.roots)
-        self.coefficients = tuple(_chevalley_coefficients(rs, b) for b in self.roots)
-        self._positive = frozenset(self.roots)
+        # Up by height from the simple roots: a positive root beta that is not
+        # simple has some beta_i > 0, and then beta = s_i(gamma) for the lower
+        # root gamma = beta - beta_i alpha_i.  s_i maps the simple-root
+        # coordinates m to m - gamma_i e_i = m + beta_i e_i, and the coroot
+        # coordinates c to c - (alpha_i . c) e_i.
+        unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+        data = {alpha: (unit[i], unit[i]) for i, alpha in enumerate(rs.simple_roots)}
+        for beta in self.roots:
+            if beta in data:
+                continue
+            i, b = next((i, b) for i, b in enumerate(beta) if b > 0)
+            alpha = rs.simple_roots[i]
+            m, c = map(list, data[tuple(x - b * a for x, a in zip(beta, alpha))])
+            m[i] += b
+            c[i] -= sum(a * x for a, x in zip(alpha, c))
+            data[beta] = (tuple(m), tuple(c))
+        self.coefficients = tuple(data[b][0] for b in self.roots)
+        self.coroots = tuple(data[b][1] for b in self.roots)
         self._covers: dict[int, tuple[tuple[int, int], ...]] = {}
 
     def covers(self, w_idx: int) -> tuple[tuple[int, int], ...]:
         """Pairs (root index k, index of w s_beta_k) with l(w s_beta_k) = l(w) + 1,
-        sorted by element index."""
+        sorted by element index.  Covers beyond a truncated group are left out."""
         if w_idx not in self._covers:
             group = self.group
             w = group.elements[w_idx]
+            u = w.action
             out = []
             for k, beta in enumerate(self.roots):
-                # l(w s_beta) > l(w) exactly when w(beta) is positive.
-                if exactlin.mat_mul((beta,), w.action)[0] not in self._positive:
+                # w s_beta has key s_beta(u) = u - <u, beta^vee> beta, and
+                # l(w s_beta) > l(w) exactly when <u, beta^vee> > 0.
+                c = sum(x * y for x, y in zip(u, self.coroots[k]))
+                if c <= 0:
                     continue
-                action = exactlin.mat_mul(self.reflections[k], w.action)
-                target = group.index[action]
+                target = group.index.get(tuple(x - c * b for x, b in zip(u, beta)))
+                if target is None:  # longer than the truncation
+                    continue
                 if group.elements[target].length == w.length + 1:
                     out.append((k, target))
             out.sort(key=lambda pair: pair[1])
@@ -234,11 +281,17 @@ def chevalley_multiply(
 
     Sum over positive roots beta with l(w s_beta) = l(w) + 1 of the pairing
     of the i-th fundamental weight with the coroot of beta, times the class
-    of w s_beta.  Coefficients are nonnegative integers.
+    of w s_beta.  Coefficients are nonnegative integers.  In a group truncated
+    at length L, w must be shorter than L, or the product would lie outside it.
     """
     n = group.root_system.rank
     if not 1 <= i <= n:
         raise IndexError(f"degree-2 index {i} out of range 1..{n}")
+    if group.max_length is not None and w.length >= group.max_length:
+        raise ValueError(
+            f"sigma_w with l(w) = {w.length} times a degree-2 class leaves "
+            f"the group truncated at length {group.max_length}"
+        )
     table = group.chevalley_table
     # Targets share one length, so element-index order is word order.
     return [
@@ -291,7 +344,9 @@ def build_e2(
     if coefficients is not None and not exactlin.is_prime(coefficients):
         raise ValueError(f"coefficient modulus {coefficients} is not prime")
     tau = transgression.transgression_matrix(g).matrix
-    weyl = weyl_group(rs, size_cap)
+    # A cell sigma_w (x) t_J has bidegree (2 l(w), |J|); cells reach total
+    # degree max_total_degree + 1, so l(w) <= (max_total_degree + 1) // 2.
+    weyl = weyl_group(rs, size_cap, (max_total_degree + 1) // 2)
 
     # Cells one degree past the cutoff so every outgoing d2 has its target.
     cells: dict[tuple[int, int], tuple] = {}

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from transgress import lattices, spectral
 from transgress.cli import main
+from transgress.lattices import LatticeConsistencyError
 from transgress.groupspec import (
     GroupSpecParseError,
     canonical_spec_string,
@@ -160,6 +162,37 @@ class TestE3:
         code, _, err = run_cli(["e3", "E8"], capsys)
         assert code == 1
         assert "--force" in err
+
+    def test_low_degree_exceptional_page_runs(self, capsys):
+        code, out, _ = run_cli(
+            ["e3", "E6", "--coeff", "3", "--max-degree", "8"], capsys
+        )
+        assert code == 0
+        assert "E3 ranks by total degree: 1 + q^3 + q^7 + q^8" in out
+
+    def test_truncated_cap_refusal_names_the_count(self, capsys):
+        code, out, err = run_cli(
+            ["e3", "E8", "--coeff", "2", "--max-degree", "11"], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert "2508" in err and "length <= 6" in err
+
+    @pytest.mark.parametrize("argv,module,name,error", [
+        (["describe", "A2"], lattices, "unit_lattice_basis", LatticeConsistencyError),
+        (["e3", "A2"], spectral, "e3_ranks", AssertionError),
+    ])
+    def test_internal_error_exits_4_with_one_line(
+        self, argv, module, name, error, monkeypatch, capsys
+    ):
+        def broken(*args, **kwargs):
+            raise error("invariant broken")
+
+        monkeypatch.setattr(module, name, broken)
+        code, out, err = run_cli(argv, capsys)
+        assert code == 4
+        assert out == ""
+        assert err == f"internal error: {error.__name__}: invariant broken\n"
 
     def test_bad_coeff_rejected(self, capsys):
         code, _, err = run_cli(["e3", "A1", "--coeff", "six"], capsys)

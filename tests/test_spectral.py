@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cached_root_system, cached_weyl_group
+from conftest import ALL_TYPES, cached_root_system, cached_weyl_group
 from transgress import (
     adjoint_spec,
     build_e2,
@@ -14,6 +14,7 @@ from transgress import (
 )
 from transgress import spectral
 from transgress.exactlin import modp_rank
+from transgress.rootdata import root_coordinates
 from transgress.spectral import WeylCapExceededError, weyl_order
 from transgress.transgression import modp_analysis
 
@@ -383,3 +384,113 @@ def test_sc_e3_mod_p_is_exterior_away_from_torsion(name, p):
     dim_g = rs.lie_type.dim_group
     want = exterior_poincare(SC_DEGREES[name], dim_g)
     assert list(e3_ranks(page).as_tuple(dim_g)) == want
+
+
+# Invariant degrees of the exceptional types, written out by hand (Bourbaki,
+# Plates V-VII); the torsion primes are 2, 3 for E6, E7 and 2, 3, 5 for E8.
+EXCEPTIONAL_DEGREES = {
+    "E6": (2, 5, 6, 8, 9, 12),
+    "E7": (2, 6, 8, 10, 12, 14, 18),
+    "E8": (2, 8, 12, 14, 18, 20, 24, 30),
+}
+
+
+@pytest.mark.parametrize("name,p", [("E6", 5), ("E7", 5), ("E8", 7)])
+def test_exceptional_e3_mod_p_is_exterior_in_low_degrees(name, p):
+    rs = cached_root_system(name)
+    page = build_e2(group_spec(rs, ()), coefficients=p, max_total_degree=7)
+    want = exterior_poincare(EXCEPTIONAL_DEGREES[name], 7)
+    assert list(e3_ranks(page).as_tuple(7)) == want
+
+
+class TestTruncation:
+    @pytest.mark.parametrize("name", ["A2", "B3", "G2", "D4", "F4"])
+    def test_truncated_group_is_prefix_of_full_group(self, name):
+        full = cached_weyl_group(name)
+        rs = full.root_system
+        for length in range(full.top_length + 1):
+            w = weyl_group(rs, max_length=length)
+            want = [e for e in full.elements if e.length <= length]
+            assert [e.word for e in w.elements] == [e.word for e in want]
+            assert [e.action for e in w.elements] == [e.action for e in want]
+
+    def test_degree_table_counts_match_enumeration(self):
+        small = [
+            name for name in ALL_TYPES
+            if weyl_order(cached_root_system(name).lie_type) <= 2000
+        ]
+        assert len(small) == 16
+        for name in small:
+            counts = cached_weyl_group(name).length_counts()
+            t = cached_root_system(name).lie_type
+            assert spectral.length_count(t) == weyl_order(t) == sum(counts)
+            for length in range(len(counts)):
+                assert spectral.length_count(t, length) == sum(counts[: length + 1])
+
+    @pytest.mark.parametrize("spec", ["G2:sc", "B3:sc", "C3:adj"])
+    @pytest.mark.parametrize("p", [None, 2])
+    def test_truncated_page_matches_full_page(self, spec, p):
+        name, form = spec.split(":")
+        rs = cached_root_system(name)
+        g = group_spec(rs, ()) if form == "sc" else adjoint_spec(rs)
+        full = build_e2(g, coefficients=p)
+        full_ranks = e3_ranks(full)
+        for degree in range(full.max_total_degree + 1):
+            page = build_e2(g, coefficients=p, max_total_degree=degree)
+            for key, m in page.d2.items():
+                assert m == full.d2[key]
+            ranks = e3_ranks(page)
+            assert ranks.as_tuple(degree) == full_ranks.as_tuple(degree)
+            assert ranks.bidegree_ranks == {
+                (s, t): r
+                for (s, t), r in full_ranks.bidegree_ranks.items()
+                if s + t <= degree
+            }
+
+    def test_truncated_refusal_names_count_and_length(self):
+        rs = cached_root_system("E8")
+        assert len(weyl_group(rs, max_length=5)) == 1122
+        with pytest.raises(WeylCapExceededError, match=r"2508 elements of length <= 6"):
+            weyl_group(rs, max_length=6)
+
+    def test_full_group_refusal_counts_the_whole_group(self):
+        # A cap on a length that reaches the longest element is a full group.
+        rs = cached_root_system("A6")
+        with pytest.raises(WeylCapExceededError, match="has 5040 elements, above"):
+            weyl_group(rs, max_length=21)
+
+    def test_degrees_need_the_whole_group(self):
+        w = weyl_group(cached_root_system("B3"), max_length=4)
+        with pytest.raises(ValueError, match="truncated"):
+            weyl_degrees(w)
+
+    def test_products_agree_below_the_truncation(self):
+        full = cached_weyl_group("B3")
+        w = weyl_group(full.root_system, max_length=3)
+        for e in w.elements:
+            for i in (1, 2, 3):
+                if e.length == 3:
+                    with pytest.raises(ValueError, match="truncated at length 3"):
+                        chevalley_multiply(w, i, e)
+                    continue
+                got = [(c, t.word) for c, t in chevalley_multiply(w, i, e)]
+                assert got == [(c, t.word) for c, t in chevalley_multiply(full, i, e)]
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError):
+            weyl_group(cached_root_system("A2"), max_length=-1)
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_chevalley_root_data_against_fraction_path(name):
+    # The table's integer root data against the rational reference path:
+    # simple-root coordinates by solve_rational, coroot pairings by the
+    # Gram matrix.
+    rs = cached_root_system(name)
+    table = weyl_group(rs, max_length=0).chevalley_table
+    n = rs.rank
+    unit = [tuple(int(j == k) for j in range(n)) for k in range(n)]
+    assert len(table.roots) == rs.lie_type.root_count // 2
+    for beta, m, c in zip(table.roots, table.coefficients, table.coroots):
+        assert m == root_coordinates(rs, beta)
+        assert c == tuple(rs.coroot_pairing(e, beta) for e in unit)
