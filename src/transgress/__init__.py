@@ -31,7 +31,6 @@ from .spectral import (
     build_e2,
     chevalley_multiply,
     e3_ranks,
-    weyl_degrees,
     weyl_group,
 )
 from .transgression import (

@@ -3,7 +3,7 @@
     transgress describe <spec> [--json]
     transgress tau <spec> [--mod P] [--json]
     transgress e3 <spec> [--coeff q|P] [--max-degree D] [--bidegrees]
-                         [--jobs N] [--force] [--json]
+                         [--force] [--json]
     transgress fixtures [--corpus PATH] [--json]
 
 Exit codes: 0 success, 1 computation refusal (size caps), 2 input error,
@@ -176,7 +176,6 @@ def cmd_e3(args, out) -> int:
         coefficients=coeff,
         max_total_degree=args.max_degree,
         size_cap=cap,
-        jobs=args.jobs,
     )
     ranks = spectral.e3_ranks(page)
     payload = {
@@ -256,8 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", type=int, default=None,
                    help="truncate at this total degree (0 up to dim G)")
     p.add_argument("--bidegrees", action="store_true")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility (at least 1); no effect")
     p.add_argument("--force", action="store_true",
                    help="ignore the size cap on the Weyl group elements of "
                    "length <= (D + 1) // 2 that the page uses")

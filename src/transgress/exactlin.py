@@ -2,10 +2,11 @@
 
 Everything here works over Python ints and fractions.Fraction; there is no
 floating point anywhere in this package.  Matrices are immutable tuples of
-tuples of ints (rows), vectors are tuples of ints; rank and the eliminator
-behind it also take rows as sparse {column: value} dicts.  Intermediate
-entries of the normal-form algorithms can exceed machine words, which is why
-arbitrary precision is non-negotiable.
+tuples of ints (rows), vectors are tuples of ints.  Rank and the eliminator
+behind it also take rows as sparse {column: value} dicts, the format of the
+d2 rows of an E2 page.  Intermediate entries of the normal-form algorithms
+can exceed machine words, which is why arbitrary precision is
+non-negotiable.
 
 _echelon is the one elimination loop for ranks over Q and Z/p and for the
 mod-p row spaces, kernels and cokernels; det and solve_rational keep their
@@ -385,11 +386,13 @@ def _eliminate(v: dict[int, int], u: dict[int, int], col: int, p: int | None):
 def _echelon(rows, p: int | None) -> dict[int, dict[int, int]]:
     """Echelon form of an integer matrix over Q (p None) or over Z/p (p prime).
 
-    Rows are dense integer sequences or {column: value} dicts; they are
-    stored sparsely.  Each row is reduced against the pivot rows found so far,
-    keyed by their leading column, until its leading column is new.  Where
-    two rows lead in the same column the sparser one is kept as the pivot,
-    which limits fill-in.  Over Q the elimination is fraction-free: v becomes
+    Rows are sparse {column: value} dicts, such as the d2 rows of an E2 page,
+    or dense integer sequences; either way the row is copied with its zeros
+    (mod p) dropped, and a dict row is read in time linear in its entries.
+    Each row is reduced against the pivot rows found so far, keyed by their
+    leading column, until its leading column is new.  Where two rows lead in
+    the same column the sparser one is kept as the pivot, which limits
+    fill-in.  Over Q the elimination is fraction-free: v becomes
     (a/g) v - (b/g) u, where u is the pivot row, a and b are the leading
     entries and g = gcd(a, b), and the content of the result is divided out,
     so entries stay small integers.  Over Z/p pivot rows are scaled to a

@@ -102,16 +102,23 @@ def _check_kac(fx) -> tuple[bool, str]:
     return True, ""
 
 
+def _first_wrong_degree(have: list[int], want: list[int]) -> str:
+    """'' if the graded ranks agree, else the first degree where they differ."""
+    for d, (h, w) in enumerate(zip(have, want)):
+        if h != w:
+            return f"degree {d}: rank {h} != {w}"
+    if len(have) != len(want):
+        return f"{len(want)} ranks given for degrees 0..{len(have) - 1}"
+    return ""
+
+
 def _check_e3_rational(fx) -> tuple[bool, str]:
     g = parse_group_spec(fx["spec"])
-    page = spectral.build_e2(g, coefficients=None)
-    got = spectral.e3_ranks(page)
-    degrees = spectral.weyl_degrees(page.weyl)
-    dim_g = g.root_system.lie_type.dim_group
-    want = _exterior_poincare(degrees, dim_g)
-    have = list(got.as_tuple(dim_g))
-    ok = have == want
-    return ok, "" if ok else f"E3 ranks {have} != exterior algebra {want}"
+    got = spectral.e3_ranks(spectral.build_e2(g, coefficients=None))
+    t = g.root_system.lie_type
+    want = _exterior_poincare(spectral.invariant_degrees(t), t.dim_group)
+    wrong = _first_wrong_degree(list(got.as_tuple(t.dim_group)), want)
+    return not wrong, wrong and f"E3 over Q vs exterior algebra, {wrong}"
 
 
 def _check_e3_modp(fx) -> tuple[bool, str]:
@@ -119,8 +126,8 @@ def _check_e3_modp(fx) -> tuple[bool, str]:
     up_to = fx["up_to"]
     page = spectral.build_e2(g, coefficients=fx["p"], max_total_degree=up_to)
     have = list(spectral.e3_ranks(page).as_tuple(up_to))
-    ok = have == fx["ranks"]
-    return ok, "" if ok else f"mod-{fx['p']} E3 ranks {have} != {fx['ranks']}"
+    wrong = _first_wrong_degree(have, fx["ranks"])
+    return not wrong, wrong and f"mod-{fx['p']} E3, {wrong}"
 
 
 _CHECKERS = {

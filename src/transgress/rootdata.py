@@ -165,10 +165,6 @@ class RootSystem:
         coeff = v[i - 1]
         return tuple(x - coeff * a for x, a in zip(v, alpha))
 
-    def is_positive_root(self, v: Vector) -> bool:
-        coords = root_coordinates(self, v)
-        return all(x >= 0 for x in coords) and any(coords)
-
 
 def root_coordinates(rs: RootSystem, v: Vector) -> tuple[Fraction, ...]:
     """Coordinates of v in the simple-root basis."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import exactlin, transgression
-from .exactlin import Matrix, Vector
+from .exactlin import Vector
 from .lattices import GroupSpec
 from .rootdata import LieType, RootSystem, positive_roots
 
@@ -170,49 +170,6 @@ def weyl_group(
     return WeylGroup(rs, size_cap, max_length)
 
 
-def _divide_poly(num: list[int], den: list[int]) -> list[int] | None:
-    """Exact division of integer polynomials; None if not divisible."""
-    if len(num) < len(den):
-        return None
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        q, r = divmod(num[k + len(den) - 1], den[-1])
-        if r:
-            return None
-        out[k] = q
-        for j, d in enumerate(den):
-            num[k + j] -= q * d
-    return out if not any(num[: len(den) - 1]) else None
-
-
-def weyl_degrees(group: WeylGroup) -> tuple[int, ...]:
-    """Invariant degrees d_1..d_n from factoring the length generating function
-    as a product of q-integers 1 + q + ... + q^(d-1)."""
-    if group.max_length is not None:
-        raise ValueError(
-            f"Weyl group of {group.root_system.lie_type} is truncated at length "
-            f"{group.max_length}; its degrees need the whole group"
-        )
-    poly = list(group.length_counts())
-    n = group.root_system.rank
-    degrees = []
-    for _ in range(n):
-        d = len(poly)  # largest q-integer dividing the remainder divides first
-        while d >= 2:
-            quotient = _divide_poly(poly, [1] * d)
-            if quotient is not None:
-                degrees.append(d)
-                poly = quotient
-                break
-            d -= 1
-        else:
-            raise AssertionError("length generating function failed to factor")
-    if poly != [1]:
-        raise AssertionError("length generating function failed to factor")
-    return tuple(sorted(degrees))
-
-
 class ChevalleyTable:
     """Root data of the Chevalley rule for one Weyl group, computed once.
 
@@ -311,8 +268,9 @@ class E2Page:
     cells: dict[tuple[int, int], tuple[tuple[int, tuple[int, ...]], ...]] = field(
         repr=False
     )
-    # d2[(s, t)]: rows = basis of (s, t), cols = basis of (s + 2, t - 1)
-    d2: dict[tuple[int, int], Matrix] = field(repr=False)
+    # d2[(s, t)]: one row per basis element of (s, t), each a {column: value}
+    # dict over the basis of (s + 2, t - 1) with the zeros left out
+    d2: dict[tuple[int, int], tuple[dict[int, int], ...]] = field(repr=False)
 
     def cell_dim(self, s: int, t: int) -> int:
         return len(self.cells.get((s, t), ()))
@@ -323,13 +281,8 @@ def build_e2(
     coefficients: Coefficients = None,
     max_total_degree: int | None = None,
     size_cap: int = DEFAULT_WEYL_CAP,
-    jobs: int = 1,
 ) -> E2Page:
-    """The E2 page up to total degree max_total_degree (default dim G).
-
-    jobs is accepted for compatibility and must be at least 1; the page is
-    always built in one thread.
-    """
+    """The E2 page up to total degree max_total_degree (default dim G)."""
     rs = g.root_system
     n = rs.rank
     dim_g = rs.lie_type.dim_group
@@ -339,8 +292,6 @@ def build_e2(
         raise ValueError(
             f"max total degree {max_total_degree} is outside 0..dim G = {dim_g}"
         )
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if coefficients is not None and not exactlin.is_prime(coefficients):
         raise ValueError(f"coefficient modulus {coefficients} is not prime")
     tau = transgression.transgression_matrix(g).matrix
@@ -371,21 +322,20 @@ def build_e2(
         for coeffs in table.coefficients
     )
 
-    def d2_matrix(s: int, t: int) -> Matrix:
-        source = cells[(s, t)]
+    def d2_matrix(s: int, t: int) -> tuple[dict[int, int], ...]:
         target = cells.get((s + 2, t - 1), ())
         pos = {b: k for k, b in enumerate(target)}
         rows = []
-        for w_idx, mono in source:
-            row = [0] * len(target)
+        for w_idx, mono in cells[(s, t)]:
+            row: dict[int, int] = {}
             for j, gen in enumerate(mono):
                 rest = mono[:j] + mono[j + 1 :]
                 sign = -1 if j % 2 else 1
                 for k, tgt_idx in table.covers(w_idx):
-                    key = (tgt_idx, rest)
-                    if key in pos:
-                        row[pos[key]] += sign * paired[k][gen - 1]
-            rows.append(tuple(row))
+                    col = pos.get((tgt_idx, rest))
+                    if col is not None:
+                        row[col] = row.get(col, 0) + sign * paired[k][gen - 1]
+            rows.append({col: x for col, x in row.items() if x})
         return tuple(rows)
 
     d2_keys = sorted(
@@ -410,10 +360,6 @@ class GradedRanks:
 
     def as_tuple(self, up_to: int) -> tuple[int, ...]:
         return tuple(self.ranks.get(d, 0) for d in range(up_to + 1))
-
-    @property
-    def max_degree(self) -> int:
-        return max(self.ranks)
 
 
 def e3_ranks(page: E2Page) -> GradedRanks:

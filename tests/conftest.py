@@ -24,6 +24,12 @@ def cached_weyl_group(name: str):
     return weyl_group(cached_root_system(name))
 
 
+def dense_rows(rows, width):
+    """The sparse {column: value} rows of a d2 block as dense tuples, for a
+    target cell of dimension width."""
+    return tuple(tuple(row.get(j, 0) for j in range(width)) for row in rows)
+
+
 @pytest.fixture(scope="session")
 def root_system():
     return cached_root_system

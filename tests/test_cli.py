@@ -5,6 +5,7 @@ import pytest
 
 from transgress import lattices, spectral
 from transgress.cli import main
+from transgress.fixtures import run_fixtures
 from transgress.lattices import LatticeConsistencyError
 from transgress.groupspec import (
     GroupSpecParseError,
@@ -142,12 +143,6 @@ class TestE3:
         assert out == ""
         assert "max total degree -1" in err
 
-    def test_zero_jobs_is_input_error(self, capsys):
-        code, out, err = run_cli(["e3", "A2", "--jobs", "0"], capsys)
-        assert code == 2
-        assert out == ""
-        assert "jobs" in err
-
     def test_modulus_beyond_primality_bound_is_input_error(self, capsys):
         from transgress.exactlin import MILLER_RABIN_BOUND
 
@@ -211,12 +206,6 @@ class TestDeterminism:
         _, second, _ = run_cli(argv, capsys)
         assert first == second
 
-    def test_jobs_do_not_change_bytes(self, capsys):
-        base = ["e3", "C2", "--bidegrees", "--json"]
-        _, one, _ = run_cli(base + ["--jobs", "1"], capsys)
-        _, four, _ = run_cli(base + ["--jobs", "4"], capsys)
-        assert one == four
-
 
 class TestFixturesCommand:
     def test_bundled_corpus_passes(self, capsys):
@@ -246,6 +235,18 @@ class TestFixturesCommand:
         assert code == 3
         assert "FAIL wrong-tau" in out
 
+    def test_failing_e3_fixture_names_the_first_wrong_degree(self):
+        # E6 mod 3 to degree 8 has ranks 1, 0, 0, 1, 0, 0, 0, 1, 1.
+        entry = {"kind": "e3_modp", "spec": "E6:sc", "p": 3, "up_to": 8}
+        results = run_fixtures(corpus=[
+            {**entry, "name": "wrong-rank", "ranks": [1, 0, 0, 1, 0, 0, 0, 2, 0]},
+            {**entry, "name": "too-few", "ranks": [1, 0, 0, 1]},
+        ])
+        assert [(r.name, r.ok, r.detail) for r in results] == [
+            ("wrong-rank", False, "mod-3 E3, degree 7: rank 1 != 2"),
+            ("too-few", False, "mod-3 E3, 4 ranks given for degrees 0..8"),
+        ]
+
     def test_empty_corpus_is_input_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.json"
         empty.write_text(json.dumps([]))
@@ -272,7 +273,8 @@ class TestParseErrorsAtCli:
 
 
 # sha256 of the stdout of each call, recorded before the mod-p eliminator and
-# the d2 assembly were rewritten; the output must stay byte-identical.
+# the d2 assembly were rewritten (the E8 page before its d2 rows became
+# sparse); the output must stay byte-identical.
 GOLDEN_STDOUT_SHA256 = {
     "describe D4:adj --json":
         "ac5b4a6a6755b07a89f8ba2ad036ae6852c7f5a27b9dc4d12b92d736e7ad0698",
@@ -286,6 +288,8 @@ GOLDEN_STDOUT_SHA256 = {
         "8af356844054838de1e05736984e09e36aee630b71634120bf38cf89f6914d13",
     "e3 A2 --coeff 999999999989 --json":
         "6a811c4468f0f01a04f1a11e4515030baf1aba4b46f506d81a7101019fce69cf",
+    "e3 E8 --coeff 3 --max-degree 9 --json --bidegrees":
+        "392fcd7bf9a5e92211e83ff6866f79e203c7538a068f221ab7730067a2faf9e7",
 }
 
 
