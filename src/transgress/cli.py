@@ -18,7 +18,6 @@ import argparse
 import json
 import sys
 
-from . import fixtures as fixtures_mod
 from . import lattices, spectral, transgression
 from .exactlin import Matrix, det, is_prime
 from .groupspec import GroupSpecParseError, canonical_spec_string, parse_group_spec
@@ -208,7 +207,11 @@ def cmd_e3(args, out) -> int:
 
 
 def cmd_fixtures(args, out) -> int:
-    results = fixtures_mod.run_fixtures(path=args.corpus)
+    # Imported here: the corpus reader pulls in importlib.resources, which no
+    # other subcommand needs.
+    from . import fixtures
+
+    results = fixtures.run_fixtures(path=args.corpus)
     failed = [r for r in results if not r.ok]
     payload = {
         "total": len(results),

@@ -15,9 +15,9 @@ own dense Fraction elimination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
@@ -87,8 +87,7 @@ def det(m: Matrix) -> int:
 # Hermite and Smith normal forms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(NamedTuple):
     """U @ M @ V == D with U, V unimodular and D diagonal, d1 | d2 | ... >= 0."""
 
     U: Matrix
@@ -291,8 +290,7 @@ def invert_unimodular(m: Matrix) -> Matrix:
 # Mod-p linear algebra
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ModPSubspace:
+class ModPSubspace(NamedTuple):
     """A subspace of (Z_p)^n given by a reduced-echelon basis."""
 
     p: int

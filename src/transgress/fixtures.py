@@ -5,16 +5,15 @@ entry against a fresh computation.  Used by `transgress fixtures` and CI.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from . import lattices, spectral, transgression
 from .exactlin import det, identity, transpose
 from .groupspec import parse_group_spec
 
 
-@dataclass(frozen=True)
-class FixtureResult:
+class FixtureResult(NamedTuple):
     name: str
     ok: bool
     detail: str

@@ -11,7 +11,7 @@ matrix downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import exactlin
 from .exactlin import Matrix, Vector, as_matrix, det, identity, transpose
@@ -36,8 +36,7 @@ def _reduce_mod_row_lattice(v: Vector, hnf: Matrix) -> Vector:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class CenterGroup:
+class CenterGroup(NamedTuple):
     """Weight lattice / root lattice, i.e. the center of the 1-connected form."""
 
     root_system: RootSystem
@@ -72,8 +71,7 @@ def center_group(rs: RootSystem) -> CenterGroup:
     )
 
 
-@dataclass(frozen=True)
-class Pi1Subgroup:
+class Pi1Subgroup(NamedTuple):
     """A subgroup of the center, describing a fundamental group choice."""
 
     label: str
@@ -167,8 +165,7 @@ def enumerate_pi1_choices(c: CenterGroup) -> list[Pi1Subgroup]:
     return out
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(NamedTuple):
     """A compact connected form: root system plus fundamental-group generators.
 
     pi1_generators are coset representatives modulo the root lattice; the
@@ -224,8 +221,7 @@ def is_adjoint(g: GroupSpec) -> bool:
     return pi1_order(g) == center_group(g.root_system).order
 
 
-@dataclass(frozen=True)
-class UnitLatticeBasis:
+class UnitLatticeBasis(NamedTuple):
     """Ordered basis of the unit lattice, rows in weight coordinates."""
 
     theta: Matrix

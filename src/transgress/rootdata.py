@@ -11,8 +11,8 @@ weight lattice is all of Z^n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactlin import Matrix, Vector, as_matrix, solve_rational, transpose
 
@@ -40,20 +40,24 @@ _ROOT_COUNTS = {
 }
 
 
-@dataclass(frozen=True)
-class LieType:
+class _LieTypeFields(NamedTuple):
     family: str
     rank: int
 
-    def __post_init__(self):
-        if self.family not in _RANK_CONSTRAINTS:
-            raise ValueError(f"unknown family {self.family!r}; expected one of A-G")
-        lo, hi = _RANK_CONSTRAINTS[self.family]
-        if self.rank < lo or (hi is not None and self.rank > hi):
+
+class LieType(_LieTypeFields):
+    """A simple type, validated on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, family: str, rank: int):
+        if family not in _RANK_CONSTRAINTS:
+            raise ValueError(f"unknown family {family!r}; expected one of A-G")
+        lo, hi = _RANK_CONSTRAINTS[family]
+        if rank < lo or (hi is not None and rank > hi):
             bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-            raise ValueError(
-                f"family {self.family} requires rank {bound}, got {self.rank}"
-            )
+            raise ValueError(f"family {family} requires rank {bound}, got {rank}")
+        return super().__new__(cls, family, rank)
 
     def __str__(self):
         return f"{self.family}{self.rank}"
@@ -134,8 +138,7 @@ def _half_lengths(cartan: Matrix) -> tuple[Fraction, ...]:
     return tuple(x / top for x in d)
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     lie_type: LieType
     cartan: Matrix
     simple_roots: tuple[Vector, ...]

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from . import exactlin, transgression
 from .exactlin import Vector
@@ -78,8 +78,7 @@ def length_count(t: LieType, max_length: int | None = None) -> int:
     return sum(poly if max_length is None else poly[: max_length + 1])
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(NamedTuple):
     word: tuple[int, ...]  # lexicographically least reduced word, 1-based
     action: Vector  # w^-1(rho), rho = (1, ..., 1): a key that names w
 
@@ -156,12 +155,6 @@ class WeylGroup:
     @property
     def top_length(self) -> int:
         return max(self.by_length)
-
-    def length_counts(self) -> tuple[int, ...]:
-        """Coefficients of the length generating function sum q^l(w)."""
-        return tuple(
-            len(self.by_length.get(l, ())) for l in range(self.top_length + 1)
-        )
 
 
 def weyl_group(
@@ -258,19 +251,23 @@ def chevalley_multiply(
     ]
 
 
-@dataclass(frozen=True)
-class E2Page:
+class E2Page(NamedTuple):
     group: GroupSpec
     coefficients: Coefficients
     max_total_degree: int
-    weyl: WeylGroup = field(repr=False)
+    weyl: WeylGroup
     # cell basis: tuples (weyl element index, exterior index tuple)
-    cells: dict[tuple[int, int], tuple[tuple[int, tuple[int, ...]], ...]] = field(
-        repr=False
-    )
+    cells: dict[tuple[int, int], tuple[tuple[int, tuple[int, ...]], ...]]
     # d2[(s, t)]: one row per basis element of (s, t), each a {column: value}
     # dict over the basis of (s + 2, t - 1) with the zeros left out
-    d2: dict[tuple[int, int], tuple[dict[int, int], ...]] = field(repr=False)
+    d2: dict[tuple[int, int], tuple[dict[int, int], ...]]
+
+    def __repr__(self):
+        # weyl, cells and d2 can run to megabytes; leave them out
+        return (
+            f"E2Page(group={self.group!r}, coefficients={self.coefficients!r}, "
+            f"max_total_degree={self.max_total_degree!r})"
+        )
 
     def cell_dim(self, s: int, t: int) -> int:
         return len(self.cells.get((s, t), ()))
@@ -353,8 +350,7 @@ def build_e2(
     )
 
 
-@dataclass(frozen=True)
-class GradedRanks:
+class GradedRanks(NamedTuple):
     ranks: dict[int, int]
     bidegree_ranks: dict[tuple[int, int], int]
 

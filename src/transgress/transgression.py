@@ -10,15 +10,14 @@ map mod p is an isomorphism exactly when p does not divide that order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import exactlin, lattices
 from .exactlin import Matrix, ModPSubspace, Vector, det, transpose
 from .lattices import GroupSpec
 
 
-@dataclass(frozen=True)
-class TransgressionMap:
+class TransgressionMap(NamedTuple):
     group: GroupSpec
     matrix: Matrix  # entry (i, j): coefficient of omega_j in tau(t_i)
     domain_labels: tuple[str, ...]
@@ -36,8 +35,7 @@ def transgression_matrix(g: GroupSpec) -> TransgressionMap:
     )
 
 
-@dataclass(frozen=True)
-class ModPAnalysis:
+class ModPAnalysis(NamedTuple):
     p: int
     matrix: Matrix
     kernel: ModPSubspace  # vectors in the t basis

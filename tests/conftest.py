@@ -24,6 +24,12 @@ def cached_weyl_group(name: str):
     return weyl_group(cached_root_system(name))
 
 
+def length_counts(group):
+    """Coefficients of the length generating function sum q^l(w), read off
+    the enumerated elements."""
+    return tuple(len(group.by_length[l]) for l in range(group.top_length + 1))
+
+
 def dense_rows(rows, width):
     """The sparse {column: value} rows of a d2 block as dense tuples, for a
     target cell of dimension width."""

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import transgress
@@ -34,3 +37,24 @@ def test_spectral_is_integer_only():
             continue
         found += [f"{name}:{node.lineno}" for name in names if name in banned]
     assert found == []
+
+
+def test_cli_import_path_stays_light():
+    # Every CLI call pays for this import.  dataclasses brings inspect with
+    # it, and the fixture corpus brings importlib.resources; neither belongs
+    # on the path of the answering subcommands.  Only what the import adds
+    # is checked, so modules that site preloads do not matter.
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import transgress.cli\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    paths = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    added = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout.split()
+    assert "transgress.cli" in added
+    assert {"dataclasses", "inspect", "transgress.fixtures"}.isdisjoint(added)

@@ -1,0 +1,90 @@
+"""The result types are immutable value types."""
+
+import pytest
+
+from conftest import cached_root_system
+from transgress import (
+    LieType,
+    build_e2,
+    center_group,
+    e3_ranks,
+    enumerate_pi1_choices,
+    group_spec,
+    modp_analysis,
+    modp_kernel,
+    parse_group_spec,
+    smith_normal_form,
+    transgression_matrix,
+    unit_lattice_basis,
+)
+from transgress.fixtures import FixtureResult
+from transgress.spectral import WeylElement
+
+
+def _values():
+    rs = cached_root_system("A2")
+    g = parse_group_spec("A2:adj")
+    page = build_e2(g, coefficients=3)
+    return [
+        smith_normal_form(((2, 4), (6, 8))),
+        modp_kernel(((1, 1),), 2),
+        FixtureResult("name", True, ""),
+        center_group(rs),
+        enumerate_pi1_choices(center_group(rs))[-1],
+        g,
+        unit_lattice_basis(g),
+        rs.lie_type,
+        rs,
+        page.weyl.elements[1],
+        page,
+        e3_ranks(page),
+        transgression_matrix(g),
+        modp_analysis(g, 3),
+    ]
+
+
+VALUES = _values()
+
+
+def test_every_result_type_is_covered():
+    assert len({type(v) for v in VALUES}) == len(VALUES) == 14
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+def test_fields_cannot_be_assigned(value):
+    for name in value._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: LieType("B", 3),
+        lambda: group_spec(cached_root_system("B3"), ((0, 0, 1),)),
+        lambda: WeylElement(word=(1, 2), action=(-1, 3, 1)),
+    ],
+    ids=["LieType", "GroupSpec", "WeylElement"],
+)
+def test_equal_by_value_and_usable_as_dict_keys(make):
+    a, b = make(), make()
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert {a: "x"}[b] == "x"
+
+
+def test_lie_type_keywords_and_str():
+    t = LieType(family="E", rank=8)
+    assert t == LieType("E", 8) == ("E", 8)
+    assert str(t) == "E8"
+    assert repr(t) == "LieType(family='E', rank=8)"
+
+
+def test_e2_page_repr_leaves_out_the_cells_and_d2():
+    page = build_e2(parse_group_spec("B3:sc"))
+    assert any(row for rows in page.d2.values() for row in rows)
+    assert repr(page) == (
+        f"E2Page(group={page.group!r}, coefficients=None, max_total_degree=21)"
+    )
