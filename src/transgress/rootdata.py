@@ -11,18 +11,23 @@ weight lattice is all of Z^n.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
-from .exactlin import Matrix, Vector, as_matrix, solve_rational, transpose
+from .exactlin import Matrix, Vector, as_matrix, transpose
 
 FAMILIES = "ABCDEFG"
 
+# Rank ceiling for families A-D, checked when a `LieType` is made, before
+# anything is built: a rank-n root system has about 2n^2 roots and the layers
+# above it grow faster (`describe A40` takes about a second, `describe A160`
+# does not finish in 40 s).
+MAX_RANK = 32
+
 _RANK_CONSTRAINTS = {
-    "A": (1, None),
-    "B": (2, None),
-    "C": (2, None),
-    "D": (3, None),
+    "A": (1, MAX_RANK),
+    "B": (2, MAX_RANK),
+    "C": (2, MAX_RANK),
+    "D": (3, MAX_RANK),
     "E": (6, 8),
     "F": (4, 4),
     "G": (2, 2),
@@ -54,9 +59,10 @@ class LieType(_LieTypeFields):
         if family not in _RANK_CONSTRAINTS:
             raise ValueError(f"unknown family {family!r}; expected one of A-G")
         lo, hi = _RANK_CONSTRAINTS[family]
-        if rank < lo or (hi is not None and rank > hi):
-            bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-            raise ValueError(f"family {family} requires rank {bound}, got {rank}")
+        if not lo <= rank <= hi:
+            raise ValueError(
+                f"family {family} requires rank in [{lo}, {hi}], got {rank}"
+            )
         return super().__new__(cls, family, rank)
 
     def __str__(self):
@@ -115,50 +121,15 @@ def standard_cartan(t: LieType) -> Matrix:
     return as_matrix(a)
 
 
-def _half_lengths(cartan: Matrix) -> tuple[Fraction, ...]:
-    """d_i = (alpha_i, alpha_i) / 2, normalized so long roots have d = 1.
-
-    Determined by the symmetry constraint cartan[i][j] * d_j ==
-    cartan[j][i] * d_i, propagated along the Dynkin graph.
-    """
-    n = len(cartan)
-    d: list[Fraction | None] = [None] * n
-    for start in range(n):
-        if d[start] is not None:
-            continue
-        d[start] = Fraction(1)
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if i != j and cartan[i][j] and d[j] is None:
-                    d[j] = d[i] * cartan[j][i] / cartan[i][j]
-                    stack.append(j)
-    top = max(d)
-    return tuple(x / top for x in d)
-
-
 class RootSystem(NamedTuple):
     lie_type: LieType
     cartan: Matrix
     simple_roots: tuple[Vector, ...]
-    gram: tuple[tuple[Fraction, ...], ...]
     all_roots: frozenset[Vector]
 
     @property
     def rank(self) -> int:
         return self.lie_type.rank
-
-    def inner(self, u: Vector, v: Vector) -> Fraction:
-        return sum(
-            Fraction(u[i]) * self.gram[i][j] * v[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
-
-    def coroot_pairing(self, v: Vector, beta: Vector) -> Fraction:
-        """2(v, beta) / (beta, beta)."""
-        return 2 * self.inner(v, beta) / self.inner(beta, beta)
 
     def reflect(self, v: Vector, i: int) -> Vector:
         """Simple reflection s_i (1-based index) on weight coordinates."""
@@ -167,12 +138,6 @@ class RootSystem(NamedTuple):
         alpha = self.simple_roots[i - 1]
         coeff = v[i - 1]
         return tuple(x - coeff * a for x, a in zip(v, alpha))
-
-
-def root_coordinates(rs: RootSystem, v: Vector) -> tuple[Fraction, ...]:
-    """Coordinates of v in the simple-root basis."""
-    col = solve_rational(transpose(rs.cartan), tuple((x,) for x in v))
-    return tuple(row[0] for row in col)
 
 
 def generate_all_roots(
@@ -201,16 +166,6 @@ def generate_all_roots(
 def build_root_system(t: LieType) -> RootSystem:
     cartan = transpose(standard_cartan(t))
     simple_roots = tuple(cartan)
-    d = _half_lengths(cartan)
-    # Gram matrix of the fundamental weights: (phi_i, alpha_j) = delta_ij d_j,
-    # i.e. gram @ cartan^T = diag(d).
-    n = t.rank
-    diag = tuple(tuple(d[i] if i == j else Fraction(0) for j in range(n)) for i in range(n))
-    inv_ct = solve_rational(transpose(cartan), as_matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)]))
-    gram = tuple(
-        tuple(sum(diag[i][k] * inv_ct[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
     roots = generate_all_roots(cartan, simple_roots)
     if len(roots) != t.root_count:
         raise AssertionError(
@@ -220,7 +175,6 @@ def build_root_system(t: LieType) -> RootSystem:
         lie_type=t,
         cartan=cartan,
         simple_roots=simple_roots,
-        gram=gram,
         all_roots=roots,
     )
 

@@ -170,9 +170,10 @@ class ChevalleyTable:
     integer vectors.  `coefficients` are the coordinates of beta in the simple
     roots: roots here live in L(T), so beta is a coroot of the usual
     presentation and these are its Chevalley coefficients <omega_i, beta^vee>.
-    `coroots` are the pairings `rs.coroot_pairing(e_i, beta)` of this
-    presentation, which give s_beta on the keys w^-1(rho).  The Bruhat covers
-    of an element are computed on first use.
+    `coroots` are the pairings 2(e_i, beta)/(beta, beta) of this presentation
+    (`coroot_pairing` in tests/rational_reference.py), which give s_beta on
+    the keys w^-1(rho).  The Bruhat covers of an element are computed on first
+    use.
     """
 
     def __init__(self, group: WeylGroup):

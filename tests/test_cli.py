@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from transgress import lattices, spectral
+from transgress import lattices, rootdata, spectral
 from transgress.cli import main
 from transgress.fixtures import run_fixtures
 from transgress.lattices import LatticeConsistencyError
@@ -270,6 +270,16 @@ class TestParseErrorsAtCli:
     def test_rank_out_of_range(self, capsys):
         code, _, err = run_cli(["tau", "B1"], capsys)
         assert code == 2
+
+    def test_rank_above_ceiling_fails_fast(self, capsys, monkeypatch):
+        def build(t):
+            raise AssertionError(f"root system of {t} built")
+
+        monkeypatch.setattr(rootdata, "build_root_system", build)
+        code, out, err = run_cli(["describe", "A100000"], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"[1, {rootdata.MAX_RANK}]" in err
 
 
 # sha256 of the stdout of each call, recorded before the mod-p eliminator and

@@ -3,9 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ALL_TYPES, cached_root_system
-from transgress import LieType, build_root_system
+from rational_reference import coroot_pairing, inner
+from transgress import LieType, RootSystem, build_root_system
 from transgress.exactlin import as_matrix, det, transpose
-from transgress.rootdata import generate_all_roots, standard_cartan
+from transgress.rootdata import MAX_RANK, generate_all_roots, standard_cartan
 
 CENTER_ORDERS = {"A": lambda n: n + 1, "B": lambda n: 2, "C": lambda n: 2,
                  "D": lambda n: 4, "E": lambda n: {6: 3, 7: 2, 8: 1}[n],
@@ -22,6 +23,18 @@ class TestLieType:
 
     def test_c2_permitted(self):
         assert LieType("C", 2).rank == 2
+
+    @pytest.mark.parametrize("family", "ABCD")
+    def test_rank_ceiling(self, family):
+        # Checked on the type alone, before any root data is built.
+        assert LieType(family, MAX_RANK).rank == MAX_RANK
+        too_high = MAX_RANK + 1
+        with pytest.raises(ValueError, match=rf", {MAX_RANK}\], got {too_high}$"):
+            LieType(family, too_high)
+
+
+def test_root_system_holds_integer_data_only():
+    assert RootSystem._fields == ("lie_type", "cartan", "simple_roots", "all_roots")
 
 
 class TestCartan:
@@ -64,7 +77,7 @@ class TestCartan:
         n = rs.rank
         for i in range(n):
             for j in range(n):
-                b = rs.coroot_pairing(rs.simple_roots[i], rs.simple_roots[j])
+                b = coroot_pairing(rs, rs.simple_roots[i], rs.simple_roots[j])
                 assert b == rs.cartan[i][j]
 
     @pytest.mark.parametrize("name", ["A3", "D4", "E6", "E7", "E8"])
@@ -80,7 +93,7 @@ class TestCartan:
 
     def test_gram_long_roots_have_length_two(self):
         rs = cached_root_system("C3")
-        lengths = sorted({rs.inner(a, a) for a in rs.simple_roots})
+        lengths = sorted({inner(rs, a, a) for a in rs.simple_roots})
         assert max(lengths) == 2
 
 
@@ -111,7 +124,7 @@ class TestReflect:
         rs = cached_root_system("G2")
         u, v = (1, 2), (3, -1)
         for i in (1, 2):
-            assert rs.inner(rs.reflect(u, i), rs.reflect(v, i)) == rs.inner(u, v)
+            assert inner(rs, rs.reflect(u, i), rs.reflect(v, i)) == inner(rs, u, v)
 
 
 class TestRootGeneration:

@@ -20,22 +20,24 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
-def test_spectral_is_integer_only():
-    # The E3 path (Weyl enumeration, Chevalley table, d2) must not fall back
-    # on rational arithmetic.
+def test_root_data_parse_and_spectral_are_integer_only():
+    # The spec parse and root data under every subcommand, and the E3 path
+    # (Weyl enumeration, Chevalley table, d2), must not fall back on rational
+    # arithmetic; the rational reference lives in tests/rational_reference.py.
     banned = {"fractions", "Fraction", "solve_rational", "root_coordinates"}
-    path = PACKAGE / "spectral.py"
     found = []
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            names = [node.module or ""] + [alias.name for alias in node.names]
-        elif isinstance(node, ast.Attribute):
-            names = [node.attr]
-        else:
-            continue
-        found += [f"{name}:{node.lineno}" for name in names if name in banned]
+    for name in ("groupspec.py", "rootdata.py", "spectral.py"):
+        path = PACKAGE / name
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{name}:{node.lineno}:{n}" for n in names if n in banned]
     assert found == []
 
 

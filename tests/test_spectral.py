@@ -9,6 +9,7 @@ from conftest import (
     dense_rows,
     length_counts,
 )
+from rational_reference import coroot_pairing, root_coordinates
 from transgress import (
     adjoint_spec,
     build_e2,
@@ -20,7 +21,6 @@ from transgress import (
 )
 from transgress import spectral
 from transgress.exactlin import modp_rank
-from transgress.rootdata import root_coordinates
 from transgress.spectral import WeylCapExceededError, invariant_degrees, weyl_order
 from transgress.transgression import modp_analysis
 
@@ -534,4 +534,4 @@ def test_chevalley_root_data_against_fraction_path(name):
     assert len(table.roots) == rs.lie_type.root_count // 2
     for beta, m, c in zip(table.roots, table.coefficients, table.coroots):
         assert m == root_coordinates(rs, beta)
-        assert c == tuple(rs.coroot_pairing(e, beta) for e in unit)
+        assert c == tuple(coroot_pairing(rs, e, beta) for e in unit)
