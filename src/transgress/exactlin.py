@@ -50,13 +50,6 @@ def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m)) if m else ()
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
 def det(m: Matrix) -> int:
     """Determinant of a square integer matrix, exact."""
     n, c = dims(m)
@@ -234,11 +227,6 @@ def hermite_normal_form(m_in: Matrix) -> tuple[Matrix, Matrix]:
             break
 
     return as_matrix(m), as_matrix(u)
-
-
-def is_unimodular(m: Matrix) -> bool:
-    r, c = dims(m)
-    return r == c and abs(det(m)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -438,11 +426,6 @@ def _dense(pivots: dict[int, dict[int, int]], n_cols: int) -> tuple[Vector, ...]
     return tuple(
         tuple(row.get(j, 0) for j in range(n_cols)) for _, row in sorted(pivots.items())
     )
-
-
-def modp_rank(m: Matrix, p: int) -> int:
-    _require_prime(p)
-    return rank(m, p)
 
 
 def modp_row_space(m: Matrix, p: int) -> ModPSubspace:

@@ -80,23 +80,6 @@ class Pi1Subgroup(NamedTuple):
     elements: tuple[Vector, ...]
 
 
-def _center_elements(c: CenterGroup) -> tuple[Vector, ...]:
-    hnf = _root_lattice_hnf(c.root_system)
-    n = c.root_system.rank
-    elements = {(0,) * n}
-    for g, f in zip(c.generators, c.invariant_factors):
-        new = set()
-        for e in elements:
-            acc = e
-            for _ in range(f):
-                new.add(acc)
-                acc = _reduce_mod_row_lattice(
-                    tuple(a + b for a, b in zip(acc, g)), hnf
-                )
-        elements = new
-    return tuple(sorted(elements))
-
-
 def _closure(seed, hnf, n) -> frozenset[Vector]:
     zero = (0,) * n
     elems = {zero}
@@ -131,7 +114,7 @@ def enumerate_pi1_choices(c: CenterGroup) -> list[Pi1Subgroup]:
     rs = c.root_system
     hnf = _root_lattice_hnf(rs)
     n = rs.rank
-    elements = _center_elements(c)
+    elements = tuple(sorted(_closure(c.generators, hnf, n)))
     # The center has order <= rank + 1 for these types, so brute force over
     # cyclic extensions is plenty.
     subgroups = {_closure([], hnf, n)}

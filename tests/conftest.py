@@ -3,6 +3,8 @@ import functools
 import pytest
 
 from transgress import LieType, build_root_system, weyl_group
+from transgress.exactlin import Matrix, Vector, det, dims, transpose
+from transgress.rootdata import positive_roots
 
 # Every simple type at rank <= 8.
 ALL_TYPES = (
@@ -22,6 +24,47 @@ def cached_root_system(name: str):
 @functools.lru_cache(maxsize=None)
 def cached_weyl_group(name: str):
     return weyl_group(cached_root_system(name))
+
+
+def generate_all_roots(
+    cartan: Matrix, simple_roots: tuple[Vector, ...]
+) -> frozenset[Vector]:
+    """Closure of the simple roots under all simple reflections (BFS)."""
+    n = len(cartan)
+
+    def refl(v, i):
+        return tuple(x - v[i] * a for x, a in zip(v, simple_roots[i]))
+
+    roots = set(simple_roots)
+    frontier = sorted(roots)
+    while frontier:
+        new = []
+        for v in frontier:
+            for i in range(n):
+                w = refl(v, i)
+                if w not in roots:
+                    roots.add(w)
+                    new.append(w)
+        frontier = sorted(new)
+    return frozenset(roots)
+
+
+def positive_and_negative_roots(rs) -> frozenset[Vector]:
+    """Phi = Phi+ u -Phi+, from the package's one root search."""
+    positive = positive_roots(rs)
+    return frozenset(positive) | {tuple(-x for x in v) for v in positive}
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    bt = transpose(b)
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+    )
+
+
+def is_unimodular(m: Matrix) -> bool:
+    r, c = dims(m)
+    return r == c and abs(det(m)) == 1
 
 
 def length_counts(group):

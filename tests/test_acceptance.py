@@ -7,7 +7,16 @@ All arithmetic is exact; wall-clock budgets are enforced per criterion.
 import random
 import time
 
-from conftest import ALL_TYPES, cached_root_system, cached_weyl_group, dense_rows
+from conftest import (
+    ALL_TYPES,
+    cached_root_system,
+    cached_weyl_group,
+    dense_rows,
+    generate_all_roots,
+    is_unimodular,
+    mat_mul,
+    positive_and_negative_roots,
+)
 from transgress import (
     adjoint_spec,
     build_e2,
@@ -20,15 +29,8 @@ from transgress import (
     smith_normal_form,
     transgression_matrix,
 )
-from transgress.exactlin import (
-    det,
-    identity,
-    is_unimodular,
-    mat_mul,
-    transpose,
-)
+from transgress.exactlin import det, identity, transpose
 from transgress.lattices import pi1_order
-from transgress.rootdata import generate_all_roots
 from transgress.spectral import invariant_degrees
 
 ROOT_COUNTS = {
@@ -207,8 +209,9 @@ def test_criterion_7_structural_suites():
         family, n = name[0], int(name[1:])
         want = (ROOT_COUNTS[family](n) if callable(ROOT_COUNTS[family])
                 else ROOT_COUNTS[family][n])
-        assert len(rs.all_roots) == want, name
-        assert len(generate_all_roots(rs.cartan, rs.simple_roots)) == want, name
+        roots = positive_and_negative_roots(rs)
+        assert len(roots) == want, name
+        assert generate_all_roots(rs.cartan, rs.simple_roots) == roots, name
 
     _report("criterion 7 (structural property suites)",
             time.monotonic() - start, 30.0)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import is_unimodular, mat_mul
 from transgress import exactlin
 from transgress.exactlin import (
     NonIntegralSolutionError,
@@ -16,11 +17,8 @@ from transgress.exactlin import (
     hermite_normal_form,
     identity,
     is_prime,
-    is_unimodular,
-    mat_mul,
     modp_cokernel,
     modp_kernel,
-    modp_rank,
     modp_row_space,
     rank,
     smith_normal_form,
@@ -160,9 +158,9 @@ class TestModP:
                 [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
             )
             for p in (2, 3, 5):
-                rank = modp_rank(m, p)
-                assert modp_kernel(m, p).dim == c - rank
-                assert modp_cokernel(m, p).dim == r - rank
+                rank_p = rank(m, p)
+                assert modp_kernel(m, p).dim == c - rank_p
+                assert modp_cokernel(m, p).dim == r - rank_p
 
     def test_kernel_is_reduced_echelon(self):
         ker = modp_kernel([[1, 2, 3], [0, 0, 0]], 5)
@@ -311,12 +309,11 @@ def test_rank_kernel(m):
     assert rank([{j: x for j, x in enumerate(row) if x} for row in m]) == rank_q
     cols = len(m[0]) if m else 0
     for p in (2, 3, BIG_PRIME):
-        rank_p = modp_rank(m, p)
-        assert rank_p == rank(m, p)
+        rank_p = rank(m, p)
         assert rank_p <= rank_q
         if m:
             assert rank_p == cols - modp_kernel(m, p).dim
-    assert modp_rank(m, BIG_PRIME) == rank_q
+    assert rank(m, BIG_PRIME) == rank_q
 
 
 def test_rank_of_empty_and_zero_matrices():
@@ -384,6 +381,6 @@ def test_modp_subspaces_against_brute_force(m, p):
 
     rows = _span(m, p, c)
     row_space = modp_row_space(m, p)
-    assert len(row_space.basis) == modp_rank(m, p)
+    assert len(row_space.basis) == rank(m, p)
     for x in domain:
         assert row_space.contains(x) == (x in rows)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from conftest import ALL_TYPES, cached_root_system
@@ -12,6 +14,7 @@ from transgress import (
 from transgress.exactlin import (
     as_matrix,
     det,
+    hermite_normal_form,
     identity,
     solve_integral,
     solve_rational,
@@ -58,6 +61,18 @@ class TestSubgroupEnumeration:
         assert len(subs) == count
         assert subs[0].order == 1
         assert subs[-1].order == c.order
+
+    @pytest.mark.parametrize("name", ALL_TYPES)
+    def test_full_center_is_the_hnf_box(self, name):
+        # Oracle sharing no code with the subgroup closure: the canonical coset
+        # representatives of Z^n / (root lattice) are the integer points of
+        # the box 0 <= v_i < H_ii, H the Hermite normal form of the Cartan matrix.
+        rs = cached_root_system(name)
+        h, _ = hermite_normal_form(rs.cartan)
+        box = tuple(itertools.product(*(range(h[i][i]) for i in range(rs.rank))))
+        elements = enumerate_pi1_choices(center_group(rs))[-1].elements
+        assert elements == box
+        assert len(elements) == abs(det(rs.cartan))
 
     def test_d4_labels_stable(self):
         c = center_group(cached_root_system("D4"))

@@ -2,11 +2,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ALL_TYPES, cached_root_system
+from conftest import (
+    ALL_TYPES,
+    cached_root_system,
+    generate_all_roots,
+    positive_and_negative_roots,
+)
 from rational_reference import coroot_pairing, inner
 from transgress import LieType, RootSystem, build_root_system
 from transgress.exactlin import as_matrix, det, transpose
-from transgress.rootdata import MAX_RANK, generate_all_roots, standard_cartan
+from transgress.rootdata import MAX_RANK, positive_roots, standard_cartan
 
 CENTER_ORDERS = {"A": lambda n: n + 1, "B": lambda n: 2, "C": lambda n: 2,
                  "D": lambda n: 4, "E": lambda n: {6: 3, 7: 2, 8: 1}[n],
@@ -34,19 +39,19 @@ class TestLieType:
 
 
 def test_root_system_holds_integer_data_only():
-    assert RootSystem._fields == ("lie_type", "cartan", "simple_roots", "all_roots")
+    assert RootSystem._fields == ("lie_type", "cartan", "simple_roots")
 
 
 class TestCartan:
     def test_a1(self):
         rs = cached_root_system("A1")
         assert rs.cartan == ((2,),)
-        assert rs.all_roots == frozenset({(2,), (-2,)})
+        assert positive_and_negative_roots(rs) == frozenset({(2,), (-2,)})
 
     def test_a2(self):
         rs = cached_root_system("A2")
         assert rs.cartan == ((2, -1), (-1, 2))
-        assert len(rs.all_roots) == 6
+        assert len(positive_and_negative_roots(rs)) == 6
 
     def test_c3_is_transpose_of_reference(self):
         # Arbitrated by the adjoint-Sp(n)-mod-2 kernel/cokernel fixtures: the
@@ -132,20 +137,22 @@ class TestRootGeneration:
         ("A1", 2), ("G2", 12), ("D4", 24), ("F4", 48), ("E6", 72),
     ])
     def test_counts(self, name, count):
-        assert len(cached_root_system(name).all_roots) == count
+        roots = positive_and_negative_roots(cached_root_system(name))
+        assert len(roots) == count
 
     @pytest.mark.parametrize("name", ALL_TYPES)
     def test_classical_cardinalities(self, name):
         rs = cached_root_system(name)
-        assert len(rs.all_roots) == rs.lie_type.root_count
+        assert len(positive_and_negative_roots(rs)) == rs.lie_type.root_count
 
     @pytest.mark.parametrize("name", ["A2", "C3", "G2"])
     def test_closed_under_negation_and_reflection(self, name):
         rs = cached_root_system(name)
-        for v in rs.all_roots:
-            assert tuple(-x for x in v) in rs.all_roots
+        roots = positive_and_negative_roots(rs)
+        for v in roots:
+            assert tuple(-x for x in v) in roots
             for i in range(1, rs.rank + 1):
-                assert rs.reflect(v, i) in rs.all_roots
+                assert rs.reflect(v, i) in roots
 
     def test_generation_order_independent(self):
         # oracle: plain fixed-point iteration without the BFS frontier,
@@ -161,6 +168,14 @@ class TestRootGeneration:
                     if w not in roots:
                         roots.add(w)
                         changed = True
-        assert frozenset(roots) == rs.all_roots
+        assert frozenset(roots) == positive_and_negative_roots(rs)
         regenerated = generate_all_roots(rs.cartan, rs.simple_roots)
-        assert regenerated == rs.all_roots
+        assert regenerated == frozenset(roots)
+
+    def test_positive_roots_checks_the_count(self):
+        # The B2 Cartan matrix under the A2 label: the search finds 4 positive
+        # roots where A2 has 3, and the count check is the one that catches it.
+        b2 = cached_root_system("B2")
+        mislabelled = RootSystem(LieType("A", 2), b2.cartan, b2.simple_roots)
+        with pytest.raises(AssertionError, match="found 4 positive roots, expected 3"):
+            positive_roots(mislabelled)

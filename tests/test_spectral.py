@@ -20,7 +20,7 @@ from transgress import (
     weyl_group,
 )
 from transgress import spectral
-from transgress.exactlin import modp_rank
+from transgress.exactlin import rank
 from transgress.spectral import WeylCapExceededError, invariant_degrees, weyl_order
 from transgress.transgression import modp_analysis
 
@@ -367,7 +367,7 @@ class TestE3Ranks:
         page = build_e2(g, coefficients=p, max_total_degree=4)
         n = g.rank
         kernel_dim = modp_analysis(g, p).kernel.dim
-        assert modp_rank(page.d2[(0, 1)], p) == n - kernel_dim
+        assert rank(page.d2[(0, 1)], p) == n - kernel_dim
 
 
 class TestRationalAcceptanceOracle:
