@@ -15,7 +15,6 @@ from .lattices import (
     CenterGroup,
     GroupSpec,
     Pi1Subgroup,
-    UnitLatticeBasis,
     adjoint_spec,
     center_group,
     enumerate_pi1_choices,

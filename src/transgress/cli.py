@@ -71,7 +71,7 @@ def cmd_describe(args, out) -> int:
     g = parse_group_spec(args.spec)
     rs = g.root_system
     center = lattices.center_group(rs)
-    theta = lattices.unit_lattice_basis(g).theta
+    theta = lattices.unit_lattice_basis(g)
     n = rs.rank
     payload = {
         "lie_type": str(rs.lie_type),

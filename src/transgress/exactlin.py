@@ -270,10 +270,6 @@ def solve_integral(m: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(int(entry) for entry in row) for row in x)
 
 
-def invert_unimodular(m: Matrix) -> Matrix:
-    return solve_integral(m, identity(len(m)))
-
-
 # ---------------------------------------------------------------------------
 # Mod-p linear algebra
 # ---------------------------------------------------------------------------

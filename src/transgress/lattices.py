@@ -4,9 +4,11 @@ In fundamental-weight coordinates the weight lattice is Z^n and the root
 lattice is the row lattice of the Cartan matrix.  A compact form of the
 group is pinned down by a subgroup of the center (= weight/root quotient),
 given by generators; the unit lattice is the root lattice enlarged by those
-generators.  The transition matrix C expresses the simple roots in the
-chosen ordered basis of the unit lattice; its transpose is the transgression
-matrix downstream.
+generators.  The center is known by its invariant factors (the Smith
+diagonal of the Cartan matrix), and the fundamental weights generate it.
+unit_lattice_basis returns the basis theta of the unit lattice; the
+transition matrix C expresses the simple roots in theta, and its transpose
+is the transgression matrix downstream.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ class CenterGroup(NamedTuple):
 
     root_system: RootSystem
     invariant_factors: tuple[int, ...]
-    generators: tuple[Vector, ...]  # coset representatives, one per factor
 
     @property
     def order(self) -> int:
@@ -57,17 +58,9 @@ def _root_lattice_hnf(rs: RootSystem) -> Matrix:
 
 
 def center_group(rs: RootSystem) -> CenterGroup:
-    snf = exactlin.smith_normal_form(rs.cartan)
-    v_inv = exactlin.invert_unimodular(snf.V)
-    hnf = _root_lattice_hnf(rs)
-    factors = []
-    gens = []
-    for i, d in enumerate(snf.diagonal):
-        if d > 1:
-            factors.append(d)
-            gens.append(_reduce_mod_row_lattice(v_inv[i], hnf))
+    diagonal = exactlin.smith_normal_form(rs.cartan).diagonal
     return CenterGroup(
-        root_system=rs, invariant_factors=tuple(factors), generators=tuple(gens)
+        root_system=rs, invariant_factors=tuple(d for d in diagonal if d > 1)
     )
 
 
@@ -114,7 +107,7 @@ def enumerate_pi1_choices(c: CenterGroup) -> list[Pi1Subgroup]:
     rs = c.root_system
     hnf = _root_lattice_hnf(rs)
     n = rs.rank
-    elements = tuple(sorted(_closure(c.generators, hnf, n)))
+    elements = tuple(sorted(_closure(identity(n), hnf, n)))
     # The center has order <= rank + 1 for these types, so brute force over
     # cyclic extensions is plenty.
     subgroups = {_closure([], hnf, n)}
@@ -188,7 +181,8 @@ def group_spec(rs: RootSystem, generators=(), weight_basis: bool = False) -> Gro
 
 
 def adjoint_spec(rs: RootSystem) -> GroupSpec:
-    return group_spec(rs, center_group(rs).generators, weight_basis=True)
+    # The fundamental weights generate the whole center.
+    return group_spec(rs, identity(rs.rank), weight_basis=True)
 
 
 def pi1_order(g: GroupSpec) -> int:
@@ -204,39 +198,31 @@ def is_adjoint(g: GroupSpec) -> bool:
     return pi1_order(g) == center_group(g.root_system).order
 
 
-class UnitLatticeBasis(NamedTuple):
-    """Ordered basis of the unit lattice, rows in weight coordinates."""
+def unit_lattice_basis(g: GroupSpec) -> Matrix:
+    """Ordered basis theta of the unit lattice, rows in weight coordinates.
 
-    theta: Matrix
-
-
-def unit_lattice_basis(g: GroupSpec) -> UnitLatticeBasis:
-    """Canonical ordered basis of the unit lattice.
-
-    Simply connected groups get the simple roots themselves, adjoint groups
-    the fundamental weights (identity matrix); anything in between gets the
-    HNF basis of the lattice spanned by the simple roots and the chosen
-    fundamental-group generators.
+    Simply connected groups get the simple roots themselves, and groups
+    requested as adjoint the fundamental weights (identity matrix).  Others
+    get the HNF basis of the lattice spanned by the simple roots and the
+    fundamental-group generators, which is the identity when they span Z^n.
     """
     rs = g.root_system
     n = rs.rank
     if g.weight_basis:
-        return UnitLatticeBasis(theta=identity(n))
+        return identity(n)
     if is_simply_connected(g):
-        return UnitLatticeBasis(theta=rs.cartan)
-    if is_adjoint(g):
-        return UnitLatticeBasis(theta=identity(n))
+        return rs.cartan
     stacked = as_matrix(list(rs.cartan) + list(g.pi1_generators))
     h, _ = exactlin.hermite_normal_form(stacked)
     theta = as_matrix(h[:n])
     if det(theta) == 0:
         raise LatticeConsistencyError("unit lattice basis is rank deficient")
-    return UnitLatticeBasis(theta=theta)
+    return theta
 
 
 def transition_matrix(g: GroupSpec) -> Matrix:
     """The integer matrix C with (simple roots) = C @ (theta basis)."""
-    theta = unit_lattice_basis(g).theta
+    theta = unit_lattice_basis(g)
     rs = g.root_system
     # C @ theta = cartan  <=>  theta^T @ C^T = cartan^T
     try:

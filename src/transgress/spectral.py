@@ -292,10 +292,11 @@ def build_e2(
         )
     if coefficients is not None and not exactlin.is_prime(coefficients):
         raise ValueError(f"coefficient modulus {coefficients} is not prime")
-    tau = transgression.transgression_matrix(g).matrix
     # A cell sigma_w (x) t_J has bidegree (2 l(w), |J|); cells reach total
     # degree max_total_degree + 1, so l(w) <= (max_total_degree + 1) // 2.
+    # The Weyl group checks its size cap here, before any lattice work.
     weyl = weyl_group(rs, size_cap, (max_total_degree + 1) // 2)
+    tau = transgression.transgression_matrix(g).matrix
 
     # Cells one degree past the cutoff so every outgoing d2 has its target.
     cells: dict[tuple[int, int], tuple] = {}

@@ -318,6 +318,15 @@ class TestE2Page:
         with pytest.raises(ValueError):
             build_e2(g, coefficients=4)
 
+    def test_cap_refusal_comes_before_lattice_work(self, monkeypatch):
+        # A7 has 40320 Weyl elements; the refusal must not wait for tau.
+        def no_tau(g):
+            raise AssertionError("tau computed before the Weyl cap check")
+
+        monkeypatch.setattr(spectral.transgression, "transgression_matrix", no_tau)
+        with pytest.raises(WeylCapExceededError, match="40320"):
+            build_e2(adjoint_spec(cached_root_system("A7")))
+
     @pytest.mark.parametrize("spec", ["G2:sc", "B3:sc", "C3:adj"])
     @pytest.mark.parametrize("p", [None, 2])
     def test_d2_rows_are_sparse_dicts(self, spec, p):
