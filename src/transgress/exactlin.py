@@ -8,9 +8,11 @@ d2 rows of an E2 page.  Intermediate entries of the normal-form algorithms
 can exceed machine words, which is why arbitrary precision is
 non-negotiable.
 
-_echelon is the one elimination loop for ranks over Q and Z/p and for the
+echelon is the one elimination loop for ranks over Q and Z/p and for the
 mod-p row spaces, kernels and cokernels; det and solve_rational keep their
-own dense Fraction elimination.
+own dense Fraction elimination.  Its result is keyed by leading column, and
+spectral.e3_ranks reads those keys: the leading columns of the d2 block into
+a bidegree name the rows that the block out of it need not be ranked on.
 """
 
 from __future__ import annotations
@@ -365,7 +367,7 @@ def _eliminate(v: dict[int, int], u: dict[int, int], col: int, p: int | None):
     return v
 
 
-def _echelon(rows, p: int | None) -> dict[int, dict[int, int]]:
+def echelon(rows, p: int | None) -> dict[int, dict[int, int]]:
     """Echelon form of an integer matrix over Q (p None) or over Z/p (p prime).
 
     Rows are sparse {column: value} dicts, such as the d2 rows of an E2 page,
@@ -379,8 +381,9 @@ def _echelon(rows, p: int | None) -> dict[int, dict[int, int]]:
     entries and g = gcd(a, b), and the content of the result is divided out,
     so entries stay small integers.  Over Z/p pivot rows are scaled to a
     leading 1.  Returns {leading column: pivot row}; the pivot rows span the
-    row space.  p is not checked for primality; callers that take it from a
-    user check it once.
+    row space, and the set of leading columns depends only on that row
+    space.  p is not checked for primality; callers that take it from a user
+    check it once.
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
@@ -403,12 +406,12 @@ def _echelon(rows, p: int | None) -> dict[int, dict[int, int]]:
 
 def rank(rows, p: int | None = None) -> int:
     """Rank of an integer matrix over Q (p None) or over Z/p (p prime); rows
-    as for _echelon."""
-    return len(_echelon(rows, p))
+    as for echelon."""
+    return len(echelon(rows, p))
 
 
 def _reduce(pivots: dict[int, dict[int, int]], p: int) -> dict[int, dict[int, int]]:
-    """Back-substitution mod p: turns the echelon form from _echelon into the
+    """Back-substitution mod p: turns the echelon form from echelon into the
     reduced one, in place.  Rows with later leading columns are reduced first,
     so each pivot column cleared from a row is already zero in every other
     pivot row."""
@@ -427,7 +430,7 @@ def _dense(pivots: dict[int, dict[int, int]], n_cols: int) -> tuple[Vector, ...]
 def modp_row_space(m: Matrix, p: int) -> ModPSubspace:
     _require_prime(p)
     c = dims(m)[1]
-    basis = _dense(_reduce(_echelon(m, p), p), c)
+    basis = _dense(_reduce(echelon(m, p), p), c)
     return ModPSubspace(p=p, ambient_dim=c, basis=basis)
 
 
@@ -435,13 +438,13 @@ def modp_kernel(m: Matrix, p: int) -> ModPSubspace:
     """Null space of M mod p (column-vector convention: M v = 0)."""
     _require_prime(p)
     c = dims(m)[1]
-    rows = _reduce(_echelon(m, p), p)
+    rows = _reduce(echelon(m, p), p)
     basis = [
         {f: 1, **{piv: -row[f] % p for piv, row in rows.items() if f in row}}
         for f in range(c)
         if f not in rows
     ]
-    basis = _dense(_reduce(_echelon(basis, p), p), c)
+    basis = _dense(_reduce(echelon(basis, p), p), c)
     return ModPSubspace(p=p, ambient_dim=c, basis=basis)
 
 
@@ -454,6 +457,6 @@ def modp_cokernel(m: Matrix, p: int) -> ModPSubspace:
     """
     _require_prime(p)
     r = len(m)
-    pivots = _echelon(transpose(m), p)
+    pivots = echelon(transpose(m), p)
     reps = tuple(e for j, e in enumerate(identity(r)) if j not in pivots)
     return ModPSubspace(p=p, ambient_dim=r, basis=reps)

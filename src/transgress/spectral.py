@@ -199,6 +199,7 @@ class ChevalleyTable:
             data[beta] = (tuple(m), tuple(c))
         self.coefficients = tuple(data[b][0] for b in self.roots)
         self.coroots = tuple(data[b][1] for b in self.roots)
+        self.lengths = tuple(e.length for e in group.elements)
         self._covers: dict[int, tuple[tuple[int, int], ...]] = {}
 
     def covers(self, w_idx: int) -> tuple[tuple[int, int], ...]:
@@ -206,8 +207,8 @@ class ChevalleyTable:
         sorted by element index.  Covers beyond a truncated group are left out."""
         if w_idx not in self._covers:
             group = self.group
-            w = group.elements[w_idx]
-            u = w.action
+            u = group.elements[w_idx].action
+            length = self.lengths[w_idx] + 1
             out = []
             for k, beta in enumerate(self.roots):
                 # w s_beta has key s_beta(u) = u - <u, beta^vee> beta, and
@@ -218,7 +219,7 @@ class ChevalleyTable:
                 target = group.index.get(tuple(x - c * b for x, b in zip(u, beta)))
                 if target is None:  # longer than the truncation
                     continue
-                if group.elements[target].length == w.length + 1:
+                if self.lengths[target] == length:
                     out.append((k, target))
             out.sort(key=lambda pair: pair[1])
             self._covers[w_idx] = tuple(out)
@@ -298,19 +299,39 @@ def build_e2(
     weyl = weyl_group(rs, size_cap, (max_total_degree + 1) // 2)
     tau = transgression.transgression_matrix(g).matrix
 
+    # subsets[t]: the t-element subsets J of 1..n in lex order, and rank_of[t]
+    # their places in it.  faces[t][r] lists, for the r-th subset J and each
+    # J_j in it, (J_j - 1, Koszul sign (-1)^(j-1), rank of J minus J_j).
+    subsets = [
+        tuple(itertools.combinations(range(1, n + 1), t)) for t in range(n + 1)
+    ]
+    rank_of = [{mono: r for r, mono in enumerate(monos)} for monos in subsets]
+    faces = [()] + [
+        tuple(
+            tuple(
+                (gen - 1, -1 if j % 2 else 1, rank_of[t - 1][mono[:j] + mono[j + 1 :]])
+                for j, gen in enumerate(mono)
+            )
+            for mono in subsets[t]
+        )
+        for t in range(1, n + 1)
+    ]
+
     # Cells one degree past the cutoff so every outgoing d2 has its target.
+    # The elements of one length are contiguous in weyl.elements, so a cell
+    # (w, J) of (2 l(w), |J|) sits at (w - first element of length l(w))
+    # * C(n, |J|) + rank(J).
     cells: dict[tuple[int, int], tuple] = {}
     for length in range(weyl.top_length + 1):
         s = 2 * length
         for t in range(n + 1):
             if s + t > max_total_degree + 1:
                 continue
-            basis = tuple(
+            cells[(s, t)] = tuple(
                 (w_idx, mono)
                 for w_idx in weyl.by_length[length]
-                for mono in itertools.combinations(range(1, n + 1), t)
+                for mono in subsets[t]
             )
-            cells[(s, t)] = basis
 
     # d2(sigma_w (x) t_g) has coefficient paired[k][g] at sigma_{w s_beta_k}:
     # tau(t_g) = sum_l tau[g][l] omega_l, and omega_l contributes the l-th
@@ -322,19 +343,24 @@ def build_e2(
     )
 
     def d2_matrix(s: int, t: int) -> tuple[dict[int, int], ...]:
-        target = cells.get((s + 2, t - 1), ())
-        pos = {b: k for k, b in enumerate(target)}
+        # Covers of w have distinct targets and the faces of J are distinct,
+        # so no two terms of a row share a column.
+        width = len(subsets[t - 1])
+        # Past the longest elements there are no covers, and first is unused.
+        first = weyl.by_length.get(s // 2 + 1, (0,))[0]
         rows = []
-        for w_idx, mono in cells[(s, t)]:
-            row: dict[int, int] = {}
-            for j, gen in enumerate(mono):
-                rest = mono[:j] + mono[j + 1 :]
-                sign = -1 if j % 2 else 1
-                for k, tgt_idx in table.covers(w_idx):
-                    col = pos.get((tgt_idx, rest))
-                    if col is not None:
-                        row[col] = row.get(col, 0) + sign * paired[k][gen - 1]
-            rows.append({col: x for col, x in row.items() if x})
+        for w_idx in weyl.by_length[s // 2]:
+            covers = [
+                ((target - first) * width, paired[k])
+                for k, target in table.covers(w_idx)
+            ]
+            for mono_faces in faces[t]:
+                rows.append({
+                    base + rest: sign * coeffs[g]
+                    for g, sign, rest in mono_faces
+                    for base, coeffs in covers
+                    if coeffs[g]
+                })
         return tuple(rows)
 
     d2_keys = sorted(
@@ -366,15 +392,24 @@ def e3_ranks(page: E2Page) -> GradedRanks:
         d: 0 for d in range(page.max_total_degree + 1)
     }
     bidegrees: dict[tuple[int, int], int] = {}
-    # The page's modulus was checked once, in build_e2.
-    d2_ranks = {
-        key: exactlin.rank(m, page.coefficients) for key, m in page.d2.items()
-    }
+    # d2 o d2 = 0, so the image of the block into (s, t) lies in the kernel
+    # of the block out of it.  The unit vectors off the leading columns of
+    # that image span a complement of it, so the block out of (s, t) has the
+    # same rank on those rows alone.  In increasing s the block into (s, t),
+    # out of (s - 2, t + 1), is ranked first; it exists whenever its source
+    # cell does, truncated pages included.  The page's modulus was checked
+    # once, in build_e2.
+    leading: dict[tuple[int, int], set[int]] = {}
+    for (s, t), rows in sorted(page.d2.items()):
+        image = leading.get((s - 2, t + 1), ())
+        leading[(s, t)] = set(exactlin.echelon(
+            (row for k, row in enumerate(rows) if k not in image), page.coefficients
+        ))
     for (s, t), basis in sorted(page.cells.items()):
         if s + t > page.max_total_degree:
             continue
-        rank_out = d2_ranks.get((s, t), 0)
-        rank_in = d2_ranks.get((s - 2, t + 1), 0)
+        rank_out = len(leading.get((s, t), ()))
+        rank_in = len(leading.get((s - 2, t + 1), ()))
         e3 = len(basis) - rank_out - rank_in
         if e3 < 0:
             raise AssertionError(f"negative E3 rank {e3} at bidegree ({s}, {t})")

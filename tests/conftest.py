@@ -2,8 +2,8 @@ import functools
 
 import pytest
 
-from transgress import LieType, build_root_system, weyl_group
-from transgress.exactlin import Matrix, Vector, det, dims, transpose
+from transgress import LieType, build_root_system, transgression_matrix, weyl_group
+from transgress.exactlin import Matrix, Vector, det, dims, rank, transpose
 from transgress.rootdata import positive_roots
 
 # Every simple type at rank <= 8.
@@ -77,6 +77,72 @@ def dense_rows(rows, width):
     """The sparse {column: value} rows of a d2 block as dense tuples, for a
     target cell of dimension width."""
     return tuple(tuple(row.get(j, 0) for j in range(width)) for row in rows)
+
+
+def reference_d2(page):
+    """The d2 blocks of a page, each term's target cell looked up by (target
+    element index, remaining exterior indices) and the terms that land on one
+    cell summed: the reference for build_e2's integer columns."""
+    cells = page.cells
+    table = page.weyl.chevalley_table
+    tau = transgression_matrix(page.group).matrix
+    paired = tuple(
+        tuple(sum(t * c for t, c in zip(tau_g, coeffs)) for tau_g in tau)
+        for coeffs in table.coefficients
+    )
+
+    def d2_matrix(s, t):
+        target = cells.get((s + 2, t - 1), ())
+        pos = {b: k for k, b in enumerate(target)}
+        rows = []
+        for w_idx, mono in cells[(s, t)]:
+            row = {}
+            for j, gen in enumerate(mono):
+                rest = mono[:j] + mono[j + 1 :]
+                sign = -1 if j % 2 else 1
+                for k, tgt_idx in table.covers(w_idx):
+                    col = pos.get((tgt_idx, rest))
+                    if col is not None:
+                        row[col] = row.get(col, 0) + sign * paired[k][gen - 1]
+            rows.append({col: x for col, x in row.items() if x})
+        return tuple(rows)
+
+    return {key: d2_matrix(*key) for key in page.d2}
+
+
+def reference_bidegree_ranks(page):
+    """E3 ranks by bidegree with each d2 block ranked on all of its rows: the
+    reference for e3_ranks, which ranks a block on a complement of its
+    incoming image."""
+    d2_ranks = {key: rank(m, page.coefficients) for key, m in page.d2.items()}
+    out = {}
+    for (s, t), basis in page.cells.items():
+        if s + t > page.max_total_degree:
+            continue
+        e3 = len(basis) - d2_ranks.get((s, t), 0) - d2_ranks.get((s - 2, t + 1), 0)
+        if e3:
+            out[(s, t)] = e3
+    return out
+
+
+def d2_composites(page):
+    """{(s, t): nonzero entries (row, column, value)} of the integer composite
+    of the d2 block out of (s, t) with the block out of (s + 2, t - 1), for
+    every bidegree where both exist.  A sparse product of the rows."""
+    out = {}
+    for (s, t), rows in sorted(page.d2.items()):
+        follow = page.d2.get((s + 2, t - 1))
+        if follow is None:
+            continue
+        entries = []
+        for a, row in enumerate(rows):
+            acc = {}
+            for k, x in row.items():
+                for b, y in follow[k].items():
+                    acc[b] = acc.get(b, 0) + x * y
+            entries += [(a, b, value) for b, value in sorted(acc.items()) if value]
+        out[(s, t)] = entries
+    return out
 
 
 @pytest.fixture(scope="session")
