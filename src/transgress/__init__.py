@@ -3,11 +3,10 @@ groups, with the induced d2 and E3 page of the fibration G -> G/T."""
 
 from .exactlin import (
     ModPSubspace,
-    SmithDecomposition,
     hermite_normal_form,
+    invariant_factors,
     modp_cokernel,
     modp_kernel,
-    smith_normal_form,
     solve_rational,
 )
 from .groupspec import GroupSpecParseError, parse_group_spec

@@ -4,13 +4,14 @@ Everything here works over Python ints and fractions.Fraction; there is no
 floating point anywhere in this package.  Matrices are immutable tuples of
 tuples of ints (rows), vectors are tuples of ints.  Rank and the eliminator
 behind it also take rows as sparse {column: value} dicts, the format of the
-d2 rows of an E2 page.  Intermediate entries of the normal-form algorithms
-can exceed machine words, which is why arbitrary precision is
-non-negotiable.
+d2 rows of an E2 page.  Intermediate entries of the normal form can exceed
+machine words, which is why arbitrary precision is non-negotiable.
 
-echelon is the one elimination loop for ranks over Q and Z/p and for the
-mod-p row spaces, kernels and cokernels; det and solve_rational keep their
-own dense Fraction elimination.  Its result is keyed by leading column, and
+hermite_normal_form is the one integer normal-form loop: invariant_factors
+reads the Smith diagonal off alternating Hermite forms of a matrix and its
+transpose.  echelon is the one elimination loop for ranks over Q and Z/p and
+for the mod-p kernels and cokernels; det and solve_rational keep their own
+dense Fraction elimination.  echelon's result is keyed by leading column, and
 spectral.e3_ranks reads those keys: the leading columns of the d2 block into
 a bidegree name the rows that the block out of it need not be ranked on.
 """
@@ -79,130 +80,23 @@ def det(m: Matrix) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Hermite and Smith normal forms
+# Hermite normal form and invariant factors
 # ---------------------------------------------------------------------------
 
-class SmithDecomposition(NamedTuple):
-    """U @ M @ V == D with U, V unimodular and D diagonal, d1 | d2 | ... >= 0."""
-
-    U: Matrix
-    D: Matrix
-    V: Matrix
-
-    @property
-    def diagonal(self) -> tuple[int, ...]:
-        r, c = dims(self.D)
-        return tuple(self.D[i][i] for i in range(min(r, c)))
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal if d != 0)
-
-
-def _pivot_position(m, start_r, start_c):
-    # Smallest nonzero absolute value, ties broken by lowest (row, col) index.
-    best = None
-    for i in range(start_r, len(m)):
-        for j in range(start_c, len(m[0])):
-            if m[i][j] and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                best = (i, j)
-    return best
-
-
-def smith_normal_form(m_in: Matrix) -> SmithDecomposition:
-    """Smith normal form with full unimodular transforms.
-
-    Deterministic: the pivot is always the entry of smallest nonzero absolute
-    value (ties by lowest index), so the transforms are reproducible.
-    """
-    m_in = as_matrix(m_in)
-    r, c = dims(m_in)
-    m = [list(row) for row in m_in]
-    u = [list(row) for row in identity(r)]
-    v = [list(row) for row in identity(c)]
-
-    def row_sub(i, j, q):  # row i -= q * row j
-        m[i] = [a - q * b for a, b in zip(m[i], m[j])]
-        u[i] = [a - q * b for a, b in zip(u[i], u[j])]
-
-    def col_sub(i, j, q):  # col i -= q * col j
-        for row in m:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    t = 0
-    while t < min(r, c):
-        pos = _pivot_position(m, t, t)
-        if pos is None:
-            break
-        swap_rows(t, pos[0])
-        swap_cols(t, pos[1])
-        while True:
-            # Euclidean elimination of row t and column t around the pivot.
-            for i in range(t + 1, r):
-                if m[i][t]:
-                    row_sub(i, t, m[i][t] // m[t][t])
-            for j in range(t + 1, c):
-                if m[t][j]:
-                    col_sub(j, t, m[t][j] // m[t][t])
-            residues = [i for i in range(t + 1, r) if m[i][t]]
-            if residues:
-                swap_rows(t, min(residues, key=lambda i: (abs(m[i][t]), i)))
-                continue
-            residues = [j for j in range(t + 1, c) if m[t][j]]
-            if residues:
-                swap_cols(t, min(residues, key=lambda j: (abs(m[t][j]), j)))
-                continue
-            # Pivot must divide the rest of the block for the chain to hold.
-            bad = next(
-                (
-                    i
-                    for i in range(t + 1, r)
-                    if any(m[i][j] % m[t][t] for j in range(t + 1, c))
-                ),
-                None,
-            )
-            if bad is None:
-                break
-            row_sub(t, bad, -1)
-        t += 1
-
-    for i in range(min(r, c)):
-        if m[i][i] < 0:
-            m[i] = [-x for x in m[i]]
-            u[i] = [-x for x in u[i]]
-
-    return SmithDecomposition(U=as_matrix(u), D=as_matrix(m), V=as_matrix(v))
-
-
-def hermite_normal_form(m_in: Matrix) -> tuple[Matrix, Matrix]:
-    """Row-style Hermite normal form: returns (H, U) with U @ M == H.
+def hermite_normal_form(m_in: Matrix) -> Matrix:
+    """Row-style Hermite normal form H of M: the same row lattice as M, in
+    echelon form with its zero rows last.
 
     Pivots are positive; entries above a pivot are reduced into [0, pivot).
     """
-    m_in = as_matrix(m_in)
-    r, c = dims(m_in)
-    m = [list(row) for row in m_in]
-    u = [list(row) for row in identity(r)]
+    m = [list(row) for row in as_matrix(m_in)]
+    r, c = dims(m)
 
     def row_sub(i, j, q):
         m[i] = [a - q * b for a, b in zip(m[i], m[j])]
-        u[i] = [a - q * b for a, b in zip(u[i], u[j])]
 
     def swap_rows(i, j):
         m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
 
     row = 0
     for col in range(c):
@@ -220,7 +114,6 @@ def hermite_normal_form(m_in: Matrix) -> tuple[Matrix, Matrix]:
             swap_rows(row, min(residues, key=lambda i: (abs(m[i][col]), i)))
         if m[row][col] < 0:
             m[row] = [-x for x in m[row]]
-            u[row] = [-x for x in u[row]]
         for i in range(row):
             if m[i][col]:
                 row_sub(i, row, m[i][col] // m[row][col])
@@ -228,7 +121,29 @@ def hermite_normal_form(m_in: Matrix) -> tuple[Matrix, Matrix]:
         if row == r:
             break
 
-    return as_matrix(m), as_matrix(u)
+    return as_matrix(m)
+
+
+def invariant_factors(m: Matrix) -> tuple[int, ...]:
+    """The nonzero invariant factors d1 | d2 | ... of an integer matrix, that
+    is the nonzero diagonal of its Smith normal form, without transforms.
+
+    The row-Hermite form changes M only by unimodular row operations, and
+    the Hermite form of the transpose only by column operations, so
+    alternating the two keeps the invariant factors; it ends in a diagonal
+    matrix.  Its nonzero entries, taken positive, are put in divisor order
+    by replacing pairs (a, b) with (gcd(a, b), lcm(a, b)), which keeps the
+    prime-power factors of the diagonal.
+    """
+    m = as_matrix(m)
+    while any(x for i, row in enumerate(m) for j, x in enumerate(row) if i != j):
+        m = transpose(hermite_normal_form(m))
+    d = [abs(m[i][i]) for i in range(min(dims(m))) if m[i][i]]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] * d[j] // g
+    return tuple(d)
 
 
 # ---------------------------------------------------------------------------
@@ -425,13 +340,6 @@ def _dense(pivots: dict[int, dict[int, int]], n_cols: int) -> tuple[Vector, ...]
     return tuple(
         tuple(row.get(j, 0) for j in range(n_cols)) for _, row in sorted(pivots.items())
     )
-
-
-def modp_row_space(m: Matrix, p: int) -> ModPSubspace:
-    _require_prime(p)
-    c = dims(m)[1]
-    basis = _dense(_reduce(echelon(m, p), p), c)
-    return ModPSubspace(p=p, ambient_dim=c, basis=basis)
 
 
 def modp_kernel(m: Matrix, p: int) -> ModPSubspace:

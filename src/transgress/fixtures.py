@@ -28,8 +28,16 @@ def load_corpus(path=None) -> list[dict]:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     corpus = json.loads(text)
+    if not isinstance(corpus, list):
+        raise ValueError("corpus is not a JSON list of fixtures")
     if not corpus:
         raise ValueError("no fixtures in corpus")
+    for i, fx in enumerate(corpus):
+        if not isinstance(fx, dict):
+            raise ValueError(f"corpus entry {i} is not an object: {fx!r}")
+        for key in ("name", "kind"):
+            if key not in fx:
+                raise ValueError(f"corpus entry {i} has no {key!r}: {fx!r}")
     return corpus
 
 

@@ -52,15 +52,10 @@ class CenterGroup(NamedTuple):
         return n
 
 
-def _root_lattice_hnf(rs: RootSystem) -> Matrix:
-    h, _ = exactlin.hermite_normal_form(rs.cartan)
-    return h
-
-
 def center_group(rs: RootSystem) -> CenterGroup:
-    diagonal = exactlin.smith_normal_form(rs.cartan).diagonal
+    factors = exactlin.invariant_factors(rs.cartan)
     return CenterGroup(
-        root_system=rs, invariant_factors=tuple(d for d in diagonal if d > 1)
+        root_system=rs, invariant_factors=tuple(d for d in factors if d > 1)
     )
 
 
@@ -105,7 +100,7 @@ def _minimal_generators(elements: frozenset[Vector], hnf, n) -> tuple[Vector, ..
 def enumerate_pi1_choices(c: CenterGroup) -> list[Pi1Subgroup]:
     """All subgroups of the center, from trivial to full, with stable labels."""
     rs = c.root_system
-    hnf = _root_lattice_hnf(rs)
+    hnf = exactlin.hermite_normal_form(rs.cartan)
     n = rs.rank
     elements = tuple(sorted(_closure(identity(n), hnf, n)))
     # The center has order <= rank + 1 for these types, so brute force over
@@ -161,7 +156,7 @@ class GroupSpec(NamedTuple):
 
 
 def group_spec(rs: RootSystem, generators=(), weight_basis: bool = False) -> GroupSpec:
-    hnf = _root_lattice_hnf(rs)
+    hnf = exactlin.hermite_normal_form(rs.cartan)
     reduced = []
     for g in generators:
         g = tuple(int(x) for x in g)
@@ -186,7 +181,7 @@ def adjoint_spec(rs: RootSystem) -> GroupSpec:
 
 
 def pi1_order(g: GroupSpec) -> int:
-    hnf = _root_lattice_hnf(g.root_system)
+    hnf = exactlin.hermite_normal_form(g.root_system.cartan)
     return len(_closure(g.pi1_generators, hnf, g.rank))
 
 
@@ -213,9 +208,9 @@ def unit_lattice_basis(g: GroupSpec) -> Matrix:
     if is_simply_connected(g):
         return rs.cartan
     stacked = as_matrix(list(rs.cartan) + list(g.pi1_generators))
-    h, _ = exactlin.hermite_normal_form(stacked)
-    theta = as_matrix(h[:n])
-    if det(theta) == 0:
+    theta = exactlin.hermite_normal_form(stacked)[:n]
+    # With n columns, rank n puts every pivot of the echelon form on the diagonal.
+    if not all(theta[i][i] for i in range(n)):
         raise LatticeConsistencyError("unit lattice basis is rank deficient")
     return theta
 

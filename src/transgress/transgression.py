@@ -48,8 +48,10 @@ class ModPAnalysis(NamedTuple):
 
     def cokernel_class_is_nonzero(self, coeffs: Vector) -> bool:
         """Is the class of sum coeffs[j] * omega_{j+1} nonzero in the cokernel?"""
-        image = exactlin.modp_row_space(self.matrix, self.p)
-        return not image.contains(coeffs)
+        if len(coeffs) != self.cokernel.ambient_dim:
+            raise ValueError("vector has wrong dimension")
+        rows = self.matrix + (tuple(coeffs),)
+        return exactlin.rank(rows, self.p) > exactlin.rank(self.matrix, self.p)
 
 
 def modp_analysis(g: GroupSpec, p: int) -> ModPAnalysis:

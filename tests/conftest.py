@@ -1,9 +1,11 @@
 import functools
+import itertools
+from math import gcd
 
 import pytest
 
 from transgress import LieType, build_root_system, transgression_matrix, weyl_group
-from transgress.exactlin import Matrix, Vector, det, dims, rank, transpose
+from transgress.exactlin import Matrix, Vector, det, dims, rank
 from transgress.rootdata import positive_roots
 
 # Every simple type at rank <= 8.
@@ -55,16 +57,31 @@ def positive_and_negative_roots(rs) -> frozenset[Vector]:
     return frozenset(positive) | {tuple(-x for x in v) for v in positive}
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
-def is_unimodular(m: Matrix) -> bool:
+def minor_gcd(m: Matrix, k: int) -> int:
+    """The k-th determinantal divisor of m: the gcd of its k x k minors, 0 when
+    they all vanish (1 for k = 0)."""
     r, c = dims(m)
-    return r == c and abs(det(m)) == 1
+    g = 0
+    for rows, cols in itertools.product(
+        itertools.combinations(range(r), k), itertools.combinations(range(c), k)
+    ):
+        g = gcd(g, det(tuple(tuple(m[i][j] for j in cols) for i in rows)))
+        if g == 1:
+            break
+    return g
+
+
+def invariant_factors_by_minors(m: Matrix) -> tuple[int, ...]:
+    """The nonzero invariant factors d_k = D_k / D_(k-1), D_k = minor_gcd(m, k):
+    an oracle that shares no code with the Hermite-form loop."""
+    factors, previous = [], 1
+    for k in range(1, min(dims(m)) + 1):
+        g = minor_gcd(m, k)
+        if g == 0:
+            break
+        factors.append(g // previous)
+        previous = g
+    return tuple(factors)
 
 
 def length_counts(group):

@@ -254,6 +254,19 @@ class TestFixturesCommand:
         assert code == 2
         assert "no fixtures" in err
 
+    @pytest.mark.parametrize("corpus,message", [
+        ({"name": "x", "kind": "kac"}, "not a JSON list"),
+        ([{"name": "ok", "kind": "kac"}, ["x"]], "entry 1 is not an object"),
+        ([{"kind": "kac"}], "entry 0 has no 'name'"),
+        ([{"name": "no-kind"}], "entry 0 has no 'kind'"),
+    ], ids=["top-level-object", "entry-not-object", "no-name", "no-kind"])
+    def test_malformed_corpus_is_input_error(self, tmp_path, capsys, corpus, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(corpus))
+        code, _, err = run_cli(["fixtures", "--corpus", str(bad)], capsys)
+        assert code == 2
+        assert message in err
+
     def test_missing_corpus_is_input_error(self, tmp_path, capsys):
         code, _, _ = run_cli(
             ["fixtures", "--corpus", str(tmp_path / "nope.json")], capsys

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import is_unimodular, mat_mul
+from conftest import invariant_factors_by_minors, minor_gcd
 from transgress import exactlin
 from transgress.exactlin import (
     NonIntegralSolutionError,
@@ -16,44 +16,43 @@ from transgress.exactlin import (
     MILLER_RABIN_BOUND,
     hermite_normal_form,
     identity,
+    invariant_factors,
     is_prime,
     modp_cokernel,
     modp_kernel,
-    modp_row_space,
     rank,
-    smith_normal_form,
     solve_integral,
     solve_rational,
     transpose,
 )
 
 
-def diagonal(snf):
-    return snf.diagonal
-
-
 class TestSmith:
+    """The invariant factors are the nonzero Smith diagonal."""
+
     def test_identity(self):
-        assert smith_normal_form(identity(3)).D == identity(3)
+        assert invariant_factors(identity(3)) == (1, 1, 1)
 
     def test_a2_cartan(self):
         # by-hand row/column reduction
-        assert diagonal(smith_normal_form([[2, -1], [-1, 2]])) == (1, 3)
+        assert invariant_factors([[2, -1], [-1, 2]]) == (1, 3)
 
     def test_zero(self):
-        z = as_matrix([[0, 0], [0, 0], [0, 0]])
-        snf = smith_normal_form(z)
-        assert snf.D == z
-        assert is_unimodular(snf.U) and is_unimodular(snf.V)
+        assert invariant_factors([[0, 0], [0, 0], [0, 0]]) == ()
+        assert invariant_factors(()) == ()
+
+    def test_negative_diagonal(self):
+        # Already diagonal, so no Hermite form makes the entries positive.
+        assert invariant_factors([[-1]]) == (1,)
+        assert invariant_factors([[-4, 0], [0, 6]]) == (2, 12)
 
     def test_decomposition_equation(self):
+        # d1 d2 ... dk is the gcd of the k x k minors; by hand, this matrix
+        # has entries of gcd 2, 2 x 2 minors of gcd 4 (8, 16, 44, 24, ...)
+        # and determinant 16.
         m = as_matrix([[6, 4, 2], [4, 4, 4], [2, 4, 8]])
-        snf = smith_normal_form(m)
-        assert mat_mul(mat_mul(snf.U, m), snf.V) == snf.D
-        assert is_unimodular(snf.U) and is_unimodular(snf.V)
-        d = diagonal(snf)
-        for a, b in zip(d, d[1:]):
-            assert b == 0 or (a != 0 and b % a == 0)
+        assert invariant_factors(m) == (2, 2, 4)
+        assert invariant_factors(m) == invariant_factors_by_minors(m)
 
     def test_rank_and_det_agree_with_hermite(self):
         rng = random.Random(7)
@@ -62,30 +61,62 @@ class TestSmith:
             m = as_matrix(
                 [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
             )
-            snf = smith_normal_form(m)
-            h, u = hermite_normal_form(m)
-            h_rank = sum(1 for row in h if any(row))
-            assert snf.rank == h_rank
+            factors = invariant_factors(m)
+            h = hermite_normal_form(m)
+            assert len(factors) == sum(1 for row in h if any(row))
             if det(m):
                 prod = 1
-                for x in diagonal(snf):
+                for x in factors:
                     prod *= x
                 assert prod == abs(det(m))
 
 
+def reduces_to_zero(v, h):
+    """Does v lie in the row lattice of the echelon matrix h?"""
+    v = list(v)
+    for row in h:
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is None:
+            break
+        q, r = divmod(v[lead], row[lead])
+        if r:
+            return False
+        v = [a - q * b for a, b in zip(v, row)]
+    return not any(v)
+
+
+def assert_hermite_form_of(h, m):
+    """h is in Hermite form and has the row lattice of m."""
+    assert len(h) == len(m)
+    leads = []
+    for i, row in enumerate(h):
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is None:
+            assert not any(any(r) for r in h[i:])
+            break
+        assert row[lead] > 0
+        for k in range(i):
+            assert 0 <= h[k][lead] < row[lead]
+        leads.append(lead)
+    assert leads == sorted(set(leads))
+    # Same row lattice: each row of m lies in the lattice of h, and a
+    # sublattice of the same rank with the same gcd of maximal minors is
+    # the whole lattice.
+    assert all(reduces_to_zero(row, h) for row in m)
+    k = rank(m)
+    assert rank(h) == k
+    assert minor_gcd(h, k) == minor_gcd(m, k)
+
+
 class TestHermite:
     def test_identity(self):
-        h, u = hermite_normal_form(identity(4))
-        assert h == identity(4) and u == identity(4)
+        assert hermite_normal_form(identity(4)) == identity(4)
 
     def test_two_by_two(self):
-        h, u = hermite_normal_form([[2, 0], [1, 1]])
-        assert h == as_matrix([[1, 1], [0, 2]])
-        assert mat_mul(u, as_matrix([[2, 0], [1, 1]])) == h
+        assert hermite_normal_form([[2, 0], [1, 1]]) == as_matrix([[1, 1], [0, 2]])
 
     def test_zero_scalar(self):
-        h, _ = hermite_normal_form([[0]])
-        assert h == as_matrix([[0]])
+        assert hermite_normal_form([[0]]) == as_matrix([[0]])
 
     def test_shape_invariants(self):
         rng = random.Random(13)
@@ -94,17 +125,13 @@ class TestHermite:
             m = as_matrix(
                 [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
             )
-            h, u = hermite_normal_form(m)
-            assert is_unimodular(u)
-            assert mat_mul(u, m) == h
-            pivots = []
-            for row in h:
-                nz = next((j for j, x in enumerate(row) if x), None)
-                if nz is None:
-                    continue
-                assert row[nz] > 0
-                pivots.append(nz)
-            assert pivots == sorted(pivots)
+            assert_hermite_form_of(hermite_normal_form(m), m)
+
+    def test_wrong_lattice_is_caught(self):
+        # The checks above reject a Hermite-shaped matrix of another lattice.
+        assert not reduces_to_zero((1, 1), ((2, 0), (0, 1)))
+        with pytest.raises(AssertionError):
+            assert_hermite_form_of(((1, 0), (0, 2)), ((1, 0), (0, 1)))
 
 
 class TestSolve:
@@ -193,33 +220,19 @@ small_matrices = st.integers(min_value=1, max_value=6).flatmap(
 @given(small_matrices)
 def test_smith_properties(rows):
     m = as_matrix(rows)
-    snf = smith_normal_form(m)
-    assert mat_mul(mat_mul(snf.U, m), snf.V) == snf.D
-    assert is_unimodular(snf.U) and is_unimodular(snf.V)
-    d = snf.diagonal
-    assert all(x >= 0 for x in d)
-    for a, b in zip(d, d[1:]):
-        assert b == 0 or (a != 0 and b % a == 0)
-    r, c = len(m), len(m[0])
-    for i in range(r):
-        for j in range(c):
-            if i != j:
-                assert snf.D[i][j] == 0
+    factors = invariant_factors(m)
+    assert factors == invariant_factors_by_minors(m)
+    assert all(x > 0 for x in factors)
+    for a, b in zip(factors, factors[1:]):
+        assert b % a == 0
+    assert invariant_factors(transpose(m)) == factors
 
 
 @settings(max_examples=200, deadline=None)
 @given(small_matrices)
 def test_hermite_properties(rows):
     m = as_matrix(rows)
-    h, u = hermite_normal_form(m)
-    assert is_unimodular(u)
-    assert mat_mul(u, m) == h
-    for i, row in enumerate(h):
-        nz = next((j for j, x in enumerate(row) if x), None)
-        if nz is not None:
-            assert row[nz] > 0
-            for k in range(i):
-                assert 0 <= h[k][nz] < row[nz]
+    assert_hermite_form_of(hermite_normal_form(m), m)
 
 
 def trial_division_is_prime(n):
@@ -380,7 +393,5 @@ def test_modp_subspaces_against_brute_force(m, p):
     assert len(reps) * len(image) == p**r
 
     rows = _span(m, p, c)
-    row_space = modp_row_space(m, p)
-    assert len(row_space.basis) == rank(m, p)
     for x in domain:
-        assert row_space.contains(x) == (x in rows)
+        assert (rank(m + (x,), p) == rank(m, p)) == (x in rows)

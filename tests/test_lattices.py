@@ -21,7 +21,13 @@ from transgress.exactlin import (
     solve_integral,
     transpose,
 )
-from transgress.lattices import is_adjoint, is_simply_connected, pi1_order
+from transgress.lattices import (
+    GroupSpec,
+    LatticeConsistencyError,
+    is_adjoint,
+    is_simply_connected,
+    pi1_order,
+)
 
 
 class TestCenterGroup:
@@ -60,7 +66,7 @@ class TestSubgroupEnumeration:
         # representatives of Z^n / (root lattice) are the integer points of
         # the box 0 <= v_i < H_ii, H the Hermite normal form of the Cartan matrix.
         rs = cached_root_system(name)
-        h, _ = hermite_normal_form(rs.cartan)
+        h = hermite_normal_form(rs.cartan)
         box = tuple(itertools.product(*(range(h[i][i]) for i in range(rs.rank))))
         elements = enumerate_pi1_choices(center_group(rs))[-1].elements
         assert elements == box
@@ -89,6 +95,15 @@ class TestUnitLattice:
         g = adjoint_spec(rs)
         assert unit_lattice_basis(g) == identity(1)
         assert transition_matrix(g) == ((2,),)
+
+    def test_rank_deficient_basis_raises(self):
+        # A singular stand-in for the Cartan matrix leaves zeros on the
+        # diagonal of the Hermite form of the stacked rows.
+        for cartan, gen in [(((1, 1), (1, 1)), (1, 1)), (((0, 1), (0, 1)), (0, 2))]:
+            rs = cached_root_system("A2")._replace(cartan=cartan)
+            g = GroupSpec(root_system=rs, pi1_generators=(gen,))
+            with pytest.raises(LatticeConsistencyError, match="rank deficient"):
+                unit_lattice_basis(g)
 
     def test_generator_wrong_length_rejected(self):
         rs = cached_root_system("A2")
@@ -185,7 +200,7 @@ class TestPi1Order:
 
 def test_parsing_runs_no_rational_solve(monkeypatch):
     # sc, adj and every intermediate form of rank <= 8 parse on the integer
-    # Smith and Hermite forms alone.
+    # Hermite form alone.
     specs = []
     for name in ALL_TYPES:
         choices = enumerate_pi1_choices(center_group(cached_root_system(name)))

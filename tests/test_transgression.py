@@ -42,6 +42,10 @@ class TestModP:
         omega_1 = tuple(1 if i == 0 else 0 for i in range(n))
         assert a.kernel_contains(t_n)
         assert a.cokernel_class_is_nonzero(omega_1)
+        # tau(t_1) is in the image, so its class is zero.
+        assert not a.cokernel_class_is_nonzero(a.matrix[0])
+        with pytest.raises(ValueError, match="wrong dimension"):
+            a.cokernel_class_is_nonzero(omega_1 + (0,))
 
     def test_adjoint_e6_mod_3(self):
         g = adjoint_spec(cached_root_system("E6"))

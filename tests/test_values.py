@@ -1,6 +1,11 @@
 """The result types are immutable value types."""
 
+import importlib
+import pkgutil
+
 import pytest
+
+import transgress
 
 from conftest import cached_root_system
 from transgress import (
@@ -13,7 +18,6 @@ from transgress import (
     modp_analysis,
     modp_kernel,
     parse_group_spec,
-    smith_normal_form,
     transgression_matrix,
 )
 from transgress.fixtures import FixtureResult
@@ -25,7 +29,6 @@ def _values():
     g = parse_group_spec("A2:adj")
     page = build_e2(g, coefficients=3)
     return [
-        smith_normal_form(((2, 4), (6, 8))),
         modp_kernel(((1, 1),), 2),
         FixtureResult("name", True, ""),
         center_group(rs),
@@ -44,8 +47,23 @@ def _values():
 VALUES = _values()
 
 
+def _package_result_types():
+    """Every public NamedTuple class defined in the package's modules."""
+    out = set()
+    for info in pkgutil.iter_modules(transgress.__path__):
+        module = importlib.import_module(f"transgress.{info.name}")
+        out |= {
+            cls for cls in vars(module).values()
+            if isinstance(cls, type) and issubclass(cls, tuple)
+            and hasattr(cls, "_fields") and cls.__module__ == module.__name__
+            and not cls.__name__.startswith("_")
+        }
+    return out
+
+
 def test_every_result_type_is_covered():
-    assert len({type(v) for v in VALUES}) == len(VALUES) == 13
+    assert len({type(v) for v in VALUES}) == len(VALUES)
+    assert {type(v) for v in VALUES} == _package_result_types()
 
 
 @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
