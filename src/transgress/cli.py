@@ -20,7 +20,7 @@ import sys
 
 from . import lattices, spectral, transgression
 from .exactlin import Matrix, det, is_prime
-from .groupspec import GroupSpecParseError, canonical_spec_string, parse_group_spec
+from .groupspec import canonical_spec_string, parse_group_spec
 from .lattices import LatticeConsistencyError
 from .spectral import WeylCapExceededError
 from .transgression import format_combination
@@ -73,10 +73,11 @@ def cmd_describe(args, out) -> int:
     center = lattices.center_group(rs)
     theta = lattices.unit_lattice_basis(g)
     n = rs.rank
+    spec = canonical_spec_string(g)
     payload = {
         "lie_type": str(rs.lie_type),
         "rank": n,
-        "form": canonical_spec_string(g).split(":", 1)[1],
+        "form": spec.split(":", 1)[1],
         "cartan": _matrix_payload(
             rs.cartan,
             [f"alpha_{i}" for i in range(1, n + 1)],
@@ -92,7 +93,7 @@ def cmd_describe(args, out) -> int:
             [f"phi_{j}" for j in range(1, n + 1)],
         ),
     }
-    doc = _document("describe", canonical_spec_string(g), payload)
+    doc = _document("describe", spec, payload)
     if args.json:
         out.write(json.dumps(doc, indent=2) + "\n")
     else:
@@ -168,17 +169,16 @@ def cmd_tau(args, out) -> int:
 
 def cmd_e3(args, out) -> int:
     g = parse_group_spec(args.spec)
-    coeff = None if args.coeff == "q" else int(args.coeff)
     cap = sys.maxsize if args.force else spectral.DEFAULT_WEYL_CAP
     page = spectral.build_e2(
         g,
-        coefficients=coeff,
+        coefficients=args.coeff,
         max_total_degree=args.max_degree,
         size_cap=cap,
     )
     ranks = spectral.e3_ranks(page)
     payload = {
-        "coefficients": "rational" if coeff is None else coeff,
+        "coefficients": "rational" if args.coeff is None else args.coeff,
         "max_total_degree": page.max_total_degree,
         "ranks": [
             [d, ranks.ranks.get(d, 0)] for d in range(page.max_total_degree + 1)
@@ -232,6 +232,11 @@ def cmd_fixtures(args, out) -> int:
     return EXIT_OK if not failed else EXIT_FIXTURES
 
 
+def field(value: str) -> int | None:
+    """The --coeff argument: None for the rationals, else the modulus."""
+    return None if value == "q" else int(value)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="transgress",
@@ -253,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("e3", help="E3 graded ranks of the fibration G -> G/T")
     p.add_argument("spec")
-    p.add_argument("--coeff", default="q", metavar="q|P",
+    p.add_argument("--coeff", default=None, type=field, metavar="q|P",
                    help="q for rationals or a prime p")
     p.add_argument("--max-degree", type=int, default=None,
                    help="truncate at this total degree (0 up to dim G)")
@@ -279,23 +284,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
-        if getattr(args, "coeff", "q") != "q":
-            try:
-                p = int(args.coeff)
-            except ValueError:
-                print(f"error: --coeff must be 'q' or a prime, got {args.coeff!r}",
-                      file=sys.stderr)
-                return EXIT_INPUT
-            if not is_prime(p):
-                print(f"error: --coeff modulus {p} is not prime", file=sys.stderr)
-                return EXIT_INPUT
         if getattr(args, "mod", None) is not None and not is_prime(args.mod):
             print(f"error: --mod modulus {args.mod} is not prime", file=sys.stderr)
             return EXIT_INPUT
         return args.func(args, sys.stdout)
-    except GroupSpecParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except WeylCapExceededError as exc:
         print(f"refused: {exc} (use --force to override)", file=sys.stderr)
         return EXIT_REFUSED

@@ -10,10 +10,11 @@ machine words, which is why arbitrary precision is non-negotiable.
 hermite_normal_form is the one integer normal-form loop: invariant_factors
 reads the Smith diagonal off alternating Hermite forms of a matrix and its
 transpose.  echelon is the one elimination loop for ranks over Q and Z/p and
-for the mod-p kernels and cokernels; det and solve_rational keep their own
-dense Fraction elimination.  echelon's result is keyed by leading column, and
-spectral.e3_ranks reads those keys: the leading columns of the d2 block into
-a bidegree name the rows that the block out of it need not be ranked on.
+for the mod-p kernels and cokernels.  det is a fraction-free Bareiss loop
+over ints, and solve_rational is the one dense Fraction elimination.
+echelon's result is keyed by leading column, and spectral.e3_ranks reads
+those keys: the leading columns of the d2 block into a bidegree name the rows
+that the block out of it need not be ranked on.
 """
 
 from __future__ import annotations
@@ -54,29 +55,32 @@ def transpose(m: Matrix) -> Matrix:
 
 
 def det(m: Matrix) -> int:
-    """Determinant of a square integer matrix, exact."""
+    """Determinant of a square integer matrix, exact.
+
+    Fraction-free Bareiss elimination: after step k every entry of the
+    trailing block is a (k+1)-minor of M with its rows swapped, so each
+    division by the previous pivot is exact (Bareiss, Math. Comp. 22, 1968).
+    """
     n, c = dims(m)
     if n != c:
         raise ValueError("determinant requires a square matrix")
-    rows = [[Fraction(x) for x in row] for row in m]
-    sign = 1
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if rows[i][col]), None)
+    rows = [list(row) for row in m]
+    sign, previous = 1, 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if rows[i][k]), None)
         if pivot is None:
             return 0
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
             sign = -sign
-        for i in range(col + 1, n):
-            if rows[i][col]:
-                f = rows[i][col] / rows[col][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
-    value = Fraction(sign)
-    for i in range(n):
-        value *= rows[i][i]
-    if value.denominator != 1:
-        raise AssertionError("determinant of an integer matrix is not integral")
-    return int(value)
+        top = rows[k]
+        for row in rows[k + 1 :]:
+            row[k + 1 :] = [
+                (top[k] * x - row[k] * y) // previous
+                for x, y in zip(row[k + 1 :], top[k + 1 :])
+            ]
+        previous = top[k]
+    return sign * previous
 
 
 # ---------------------------------------------------------------------------

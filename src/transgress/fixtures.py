@@ -147,15 +147,13 @@ _CHECKERS = {
 }
 
 
-def run_fixtures(corpus=None, path=None) -> list[FixtureResult]:
-    if corpus is None:
-        corpus = load_corpus(path)
+def run_fixtures(path=None) -> list[FixtureResult]:
     results = []
-    for fx in corpus:
+    for fx in load_corpus(path):
         checker = _CHECKERS.get(fx["kind"])
         if checker is None:
             results.append(
-                FixtureResult(fx.get("name", "?"), False, f"unknown kind {fx['kind']}")
+                FixtureResult(fx["name"], False, f"unknown kind {fx['kind']}")
             )
             continue
         try:

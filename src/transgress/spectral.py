@@ -7,13 +7,17 @@ exterior algebra on t_1..t_n.  d2 sends sigma_w (x) t_i to
 by a degree-2 class being the Chevalley rule; the extension to higher
 exterior degrees uses the Koszul sign (-1)^(j-1) on the j-th factor.
 
+The Weyl group is enumerated one length at a time, so the elements of length
+l fill the index range WeylGroup.levels[l]; the cells of Schubert degree 2l
+are read off that range.
+
 Coefficients are a field: None means the rationals, an int means Z_p.
+build_e2 checks that p is prime, before any Weyl or lattice work.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from functools import cached_property
 from typing import NamedTuple
 
@@ -58,10 +62,6 @@ def invariant_degrees(t: LieType) -> tuple[int, ...]:
     }[str(t)]
 
 
-def weyl_order(t: LieType) -> int:
-    return math.prod(invariant_degrees(t))
-
-
 def length_count(t: LieType, max_length: int | None = None) -> int:
     """Number of Weyl group elements of length <= max_length (default: all).
 
@@ -89,7 +89,8 @@ class WeylElement(NamedTuple):
 
 class WeylGroup:
     """The elements of length <= max_length (default: all), in shortlex order
-    of their lex-least reduced words.
+    of their lex-least reduced words.  levels[l] is the range of indices of
+    the elements of length l.
 
     Each element w is keyed by w^-1(rho).  Then w s_i has key s_i(w^-1(rho)),
     and l(w s_i) > l(w) exactly when the i-th coordinate of the key is
@@ -118,6 +119,7 @@ class WeylGroup:
         n = rs.rank
         elements = [WeylElement(word=(), action=(1,) * n)]
         level = [elements[0]]
+        levels = [range(1)]
         # Each level is in word order and i ascends, so the words w.word + (i,)
         # come up in lex order: the first one found for a key is its lex-least
         # reduced word, and each new level is again in word order.
@@ -132,6 +134,7 @@ class WeylGroup:
             level = [
                 WeylElement(word=word, action=key) for key, word in candidates.items()
             ]
+            levels.append(range(len(elements), len(elements) + len(level)))
             elements.extend(level)
         if len(elements) != order:
             raise AssertionError(
@@ -139,11 +142,7 @@ class WeylGroup:
             )
         self.elements = tuple(elements)
         self.index = {e.action: i for i, e in enumerate(self.elements)}
-        self.by_length: dict[int, tuple[int, ...]] = {}
-        for i, e in enumerate(self.elements):
-            self.by_length.setdefault(e.length, [])
-            self.by_length[e.length].append(i)
-        self.by_length = {l: tuple(v) for l, v in self.by_length.items()}
+        self.levels = tuple(levels)
 
     def __len__(self):
         return len(self.elements)
@@ -154,7 +153,7 @@ class WeylGroup:
 
     @property
     def top_length(self) -> int:
-        return max(self.by_length)
+        return len(self.levels) - 1
 
 
 def weyl_group(
@@ -199,7 +198,6 @@ class ChevalleyTable:
             data[beta] = (tuple(m), tuple(c))
         self.coefficients = tuple(data[b][0] for b in self.roots)
         self.coroots = tuple(data[b][1] for b in self.roots)
-        self.lengths = tuple(e.length for e in group.elements)
         self._covers: dict[int, tuple[tuple[int, int], ...]] = {}
 
     def covers(self, w_idx: int) -> tuple[tuple[int, int], ...]:
@@ -207,8 +205,8 @@ class ChevalleyTable:
         sorted by element index.  Covers beyond a truncated group are left out."""
         if w_idx not in self._covers:
             group = self.group
-            u = group.elements[w_idx].action
-            length = self.lengths[w_idx] + 1
+            w = group.elements[w_idx]
+            u, length = w.action, w.length + 1
             out = []
             for k, beta in enumerate(self.roots):
                 # w s_beta has key s_beta(u) = u - <u, beta^vee> beta, and
@@ -219,7 +217,7 @@ class ChevalleyTable:
                 target = group.index.get(tuple(x - c * b for x, b in zip(u, beta)))
                 if target is None:  # longer than the truncation
                     continue
-                if self.lengths[target] == length:
+                if group.elements[target].length == length:
                     out.append((k, target))
             out.sort(key=lambda pair: pair[1])
             self._covers[w_idx] = tuple(out)
@@ -318,19 +316,16 @@ def build_e2(
     ]
 
     # Cells one degree past the cutoff so every outgoing d2 has its target.
-    # The elements of one length are contiguous in weyl.elements, so a cell
-    # (w, J) of (2 l(w), |J|) sits at (w - first element of length l(w))
-    # * C(n, |J|) + rank(J).
+    # A cell (w, J) of (2 l(w), |J|) sits at
+    # (w - weyl.levels[l(w)].start) * C(n, |J|) + rank(J).
     cells: dict[tuple[int, int], tuple] = {}
-    for length in range(weyl.top_length + 1):
+    for length, level in enumerate(weyl.levels):
         s = 2 * length
         for t in range(n + 1):
             if s + t > max_total_degree + 1:
                 continue
             cells[(s, t)] = tuple(
-                (w_idx, mono)
-                for w_idx in weyl.by_length[length]
-                for mono in subsets[t]
+                (w_idx, mono) for w_idx in level for mono in subsets[t]
             )
 
     # d2(sigma_w (x) t_g) has coefficient paired[k][g] at sigma_{w s_beta_k}:
@@ -346,12 +341,12 @@ def build_e2(
         # Covers of w have distinct targets and the faces of J are distinct,
         # so no two terms of a row share a column.
         width = len(subsets[t - 1])
-        # Past the longest elements there are no covers, and first is unused.
-        first = weyl.by_length.get(s // 2 + 1, (0,))[0]
+        # Covers have length l + 1, whose level starts where level l stops.
+        level = weyl.levels[s // 2]
         rows = []
-        for w_idx in weyl.by_length[s // 2]:
+        for w_idx in level:
             covers = [
-                ((target - first) * width, paired[k])
+                ((target - level.stop) * width, paired[k])
                 for k, target in table.covers(w_idx)
             ]
             for mono_faces in faces[t]:

@@ -57,6 +57,22 @@ def positive_and_negative_roots(rs) -> frozenset[Vector]:
     return frozenset(positive) | {tuple(-x for x in v) for v in positive}
 
 
+def leibniz_det(m: Matrix) -> int:
+    """Sum over permutations of sign(pi) * prod m[i][pi(i)], the sign read off
+    the inversion count: an oracle that shares no code with exactlin.det."""
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(
+            perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)
+        )
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
 def minor_gcd(m: Matrix, k: int) -> int:
     """The k-th determinantal divisor of m: the gcd of its k x k minors, 0 when
     they all vanish (1 for k = 0)."""
@@ -87,7 +103,7 @@ def invariant_factors_by_minors(m: Matrix) -> tuple[int, ...]:
 def length_counts(group):
     """Coefficients of the length generating function sum q^l(w), read off
     the enumerated elements."""
-    return tuple(len(group.by_length[l]) for l in range(group.top_length + 1))
+    return tuple(len(level) for level in group.levels)
 
 
 def dense_rows(rows, width):

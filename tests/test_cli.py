@@ -194,6 +194,12 @@ class TestE3:
         assert code == 2
         assert "--coeff" in err
 
+    def test_composite_coeff_rejected(self, capsys):
+        code, out, err = run_cli(["e3", "A1", "--coeff", "4"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "not prime" in err
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
@@ -235,13 +241,15 @@ class TestFixturesCommand:
         assert code == 3
         assert "FAIL wrong-tau" in out
 
-    def test_failing_e3_fixture_names_the_first_wrong_degree(self):
+    def test_failing_e3_fixture_names_the_first_wrong_degree(self, tmp_path):
         # E6 mod 3 to degree 8 has ranks 1, 0, 0, 1, 0, 0, 0, 1, 1.
         entry = {"kind": "e3_modp", "spec": "E6:sc", "p": 3, "up_to": 8}
-        results = run_fixtures(corpus=[
+        corpus = tmp_path / "e3.json"
+        corpus.write_text(json.dumps([
             {**entry, "name": "wrong-rank", "ranks": [1, 0, 0, 1, 0, 0, 0, 2, 0]},
             {**entry, "name": "too-few", "ranks": [1, 0, 0, 1]},
-        ])
+        ]))
+        results = run_fixtures(path=corpus)
         assert [(r.name, r.ok, r.detail) for r in results] == [
             ("wrong-rank", False, "mod-3 E3, degree 7: rank 1 != 2"),
             ("too-few", False, "mod-3 E3, 4 ranks given for degrees 0..8"),

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import invariant_factors_by_minors, minor_gcd
+from conftest import (
+    ALL_TYPES,
+    cached_root_system,
+    invariant_factors_by_minors,
+    leibniz_det,
+    minor_gcd,
+)
 from transgress import exactlin
 from transgress.exactlin import (
     NonIntegralSolutionError,
@@ -69,6 +75,32 @@ class TestSmith:
                 for x in factors:
                     prod *= x
                 assert prod == abs(det(m))
+
+
+square_matrices = st.integers(min_value=0, max_value=5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(min_value=-9, max_value=9), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+)
+
+
+class TestDet:
+    @settings(max_examples=300, deadline=None)
+    @given(square_matrices)
+    def test_matches_leibniz_sum(self, rows):
+        m = as_matrix(rows)
+        assert det(m) == leibniz_det(m)
+
+    @pytest.mark.parametrize("name", ALL_TYPES)
+    def test_cartan_matrix_matches_leibniz_sum(self, name):
+        cartan = cached_root_system(name).cartan
+        assert det(cartan) == leibniz_det(cartan)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            det(((1, 2),))
 
 
 def reduces_to_zero(v, h):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from transgress import (
 )
 from transgress import spectral
 from transgress.exactlin import rank
-from transgress.spectral import WeylCapExceededError, invariant_degrees, weyl_order
+from transgress.spectral import WeylCapExceededError, invariant_degrees
 from transgress.transgression import modp_analysis
 
 
@@ -71,7 +72,7 @@ class TestWeylGroup:
     @pytest.mark.parametrize("name", ["A3", "B3", "C2", "D4", "F4"])
     def test_order_formula(self, name):
         w = cached_weyl_group(name)
-        assert len(w) == weyl_order(w.root_system.lie_type)
+        assert len(w) == math.prod(invariant_degrees(w.root_system.lie_type))
 
     def test_top_length_is_positive_root_count(self):
         for name in ("A3", "B3", "G2"):
@@ -511,22 +512,30 @@ class TestTruncation:
     def test_truncated_group_is_prefix_of_full_group(self, name):
         full = cached_weyl_group(name)
         rs = full.root_system
+        groups = [full]
         for length in range(full.top_length + 1):
             w = weyl_group(rs, max_length=length)
+            groups.append(w)
             want = [e for e in full.elements if e.length <= length]
             assert [e.word for e in w.elements] == [e.word for e in want]
             assert [e.action for e in w.elements] == [e.action for e in want]
+        for w in groups:
+            # The levels tile the indices in order, level l holding length l.
+            assert [i for level in w.levels for i in level] == list(range(len(w)))
+            for l, level in enumerate(w.levels):
+                assert all(w.elements[i].length == l for i in level)
 
     def test_degree_table_counts_match_enumeration(self):
         small = [
             name for name in ALL_TYPES
-            if weyl_order(cached_root_system(name).lie_type) <= 2000
+            if math.prod(invariant_degrees(cached_root_system(name).lie_type)) <= 2000
         ]
         assert len(small) == 16
         for name in small:
             counts = length_counts(cached_weyl_group(name))
             t = cached_root_system(name).lie_type
-            assert spectral.length_count(t) == weyl_order(t) == sum(counts)
+            order = math.prod(invariant_degrees(t))
+            assert spectral.length_count(t) == order == sum(counts)
             for length in range(len(counts)):
                 assert spectral.length_count(t, length) == sum(counts[: length + 1])
 
