@@ -7,15 +7,16 @@
     transgress fixtures [--corpus PATH] [--json]
 
 Exit codes: 0 success, 1 computation refusal (size caps), 2 input error,
-3 fixture failure, 4 internal error (a failed consistency check).  JSON
-output is deterministic: identical invocations produce byte-identical
-documents.
+3 fixture failure, 4 internal error (a failed consistency check), 5 output
+could not be written (a closed pipe or a full disk).  JSON output is
+deterministic: identical invocations produce byte-identical documents.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import lattices, spectral, transgression
@@ -32,6 +33,7 @@ EXIT_REFUSED = 1
 EXIT_INPUT = 2
 EXIT_FIXTURES = 3
 EXIT_INTERNAL = 4
+EXIT_OUTPUT = 5
 
 
 def _document(kind: str, group: str | None, payload: dict, provenance=()) -> dict:
@@ -287,16 +289,25 @@ def main(argv=None) -> int:
         if getattr(args, "mod", None) is not None and not is_prime(args.mod):
             print(f"error: --mod modulus {args.mod} is not prime", file=sys.stderr)
             return EXIT_INPUT
-        return args.func(args, sys.stdout)
+        code = args.func(args, sys.stdout)
+        sys.stdout.flush()
+        return code
     except WeylCapExceededError as exc:
         print(f"refused: {exc} (use --force to override)", file=sys.stderr)
         return EXIT_REFUSED
-    except (ValueError, FileNotFoundError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (LatticeConsistencyError, AssertionError) as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except OSError as exc:  # writing stdout: load_corpus raises ValueError
+        if not isinstance(exc, BrokenPipeError):  # a closed pipe is no error
+            print(f"error: output could not be written: {exc}", file=sys.stderr)
+        # Keep the interpreter's exit flush of stdout quiet (Python docs,
+        # signal, "Note on SIGPIPE").
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OUTPUT
 
 
 if __name__ == "__main__":

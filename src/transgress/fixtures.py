@@ -20,13 +20,16 @@ class FixtureResult(NamedTuple):
 
 
 def load_corpus(path=None) -> list[dict]:
-    if path is None:
-        text = (
-            resources.files("transgress").joinpath("data/fixtures.json").read_text()
-        )
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+    try:
+        if path is None:
+            text = (
+                resources.files("transgress").joinpath("data/fixtures.json").read_text()
+            )
+        else:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+    except OSError as exc:  # missing, a directory, or unreadable
+        raise ValueError(str(exc)) from None
     corpus = json.loads(text)
     if not isinstance(corpus, list):
         raise ValueError("corpus is not a JSON list of fixtures")

@@ -128,11 +128,15 @@ def standard_cartan(t: LieType) -> Matrix:
 class RootSystem(NamedTuple):
     lie_type: LieType
     cartan: Matrix
-    simple_roots: tuple[Vector, ...]
 
     @property
     def rank(self) -> int:
         return self.lie_type.rank
+
+    @property
+    def simple_roots(self) -> tuple[Vector, ...]:
+        """The simple roots in weight coordinates: the rows of cartan."""
+        return self.cartan
 
     def reflect(self, v: Vector, i: int) -> Vector:
         """Simple reflection s_i (1-based index) on weight coordinates."""
@@ -145,7 +149,7 @@ class RootSystem(NamedTuple):
 
 def build_root_system(t: LieType) -> RootSystem:
     cartan = transpose(standard_cartan(t))
-    return RootSystem(lie_type=t, cartan=cartan, simple_roots=tuple(cartan))
+    return RootSystem(lie_type=t, cartan=cartan)
 
 
 def positive_roots(rs: RootSystem) -> tuple[Vector, ...]:

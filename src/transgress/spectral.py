@@ -8,8 +8,8 @@ by a degree-2 class being the Chevalley rule; the extension to higher
 exterior degrees uses the Koszul sign (-1)^(j-1) on the j-th factor.
 
 The Weyl group is enumerated one length at a time, so the elements of length
-l fill the index range WeylGroup.levels[l]; the cells of Schubert degree 2l
-are read off that range.
+l fill the index range WeylGroup.levels[l].  An element is named by its index
+alone, and a cell by its position in its bidegree (see build_e2).
 
 Coefficients are a field: None means the rationals, an int means Z_p.
 build_e2 checks that p is prime, before any Weyl or lattice work.
@@ -18,11 +18,11 @@ build_e2 checks that p is prime, before any Weyl or lattice work.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from functools import cached_property
 from typing import NamedTuple
 
 from . import exactlin, transgression
-from .exactlin import Vector
 from .lattices import GroupSpec
 from .rootdata import LieType, RootSystem, positive_roots
 
@@ -78,24 +78,16 @@ def length_count(t: LieType, max_length: int | None = None) -> int:
     return sum(poly if max_length is None else poly[: max_length + 1])
 
 
-class WeylElement(NamedTuple):
-    word: tuple[int, ...]  # lexicographically least reduced word, 1-based
-    action: Vector  # w^-1(rho), rho = (1, ..., 1): a key that names w
-
-    @property
-    def length(self) -> int:
-        return len(self.word)
-
-
 class WeylGroup:
     """The elements of length <= max_length (default: all), in shortlex order
     of their lex-least reduced words.  levels[l] is the range of indices of
     the elements of length l.
 
-    Each element w is keyed by w^-1(rho).  Then w s_i has key s_i(w^-1(rho)),
-    and l(w s_i) > l(w) exactly when the i-th coordinate of the key is
-    positive (Casselman, Invent. Math. 116, 1994).  The size cap counts the
-    elements that will be enumerated, before the search runs.
+    Each element w is keyed by w^-1(rho), rho = (1, ..., 1), and elements[k]
+    is the key of the k-th element.  Then w s_i has key s_i(w^-1(rho)), and
+    l(w s_i) > l(w) exactly when the i-th coordinate of the key is positive
+    (Casselman, Invent. Math. 116, 1994).  The size cap counts the elements
+    that will be enumerated, before the search runs.
     """
 
     def __init__(
@@ -117,23 +109,17 @@ class WeylGroup:
         self.root_system = rs
         self.max_length = max_length  # None: the whole group
         n = rs.rank
-        elements = [WeylElement(word=(), action=(1,) * n)]
-        level = [elements[0]]
+        level = [(1,) * n]
+        elements = list(level)
         levels = [range(1)]
-        # Each level is in word order and i ascends, so the words w.word + (i,)
-        # come up in lex order: the first one found for a key is its lex-least
-        # reduced word, and each new level is again in word order.
+        # Level by level, i ascending, each key kept where it is first found.
+        # If each level is in shortlex order of lex-least words, the words
+        # word(w) + (i,) come up in lex order, so the first one found for a
+        # key is its lex-least word and the new level is in that order too.
         for _ in range(longest if max_length is None else max_length):
-            candidates: dict[Vector, tuple[int, ...]] = {}
-            for w in level:
-                for i in range(1, n + 1):
-                    if w.action[i - 1] > 0:
-                        key = rs.reflect(w.action, i)
-                        if key not in candidates:
-                            candidates[key] = w.word + (i,)
-            level = [
-                WeylElement(word=word, action=key) for key, word in candidates.items()
-            ]
+            level = list(dict.fromkeys(
+                rs.reflect(u, i) for u in level for i in range(1, n + 1) if u[i - 1] > 0
+            ))
             levels.append(range(len(elements), len(elements) + len(level)))
             elements.extend(level)
         if len(elements) != order:
@@ -141,11 +127,15 @@ class WeylGroup:
                 f"enumerated {len(elements)} Weyl group elements, expected {order}"
             )
         self.elements = tuple(elements)
-        self.index = {e.action: i for i, e in enumerate(self.elements)}
+        self.index = {u: k for k, u in enumerate(self.elements)}
         self.levels = tuple(levels)
 
     def __len__(self):
         return len(self.elements)
+
+    def length(self, w_idx: int) -> int:
+        """The length of the element with index w_idx: the level holding it."""
+        return bisect_right(self.levels, w_idx, key=lambda level: level.stop)
 
     @cached_property
     def chevalley_table(self) -> ChevalleyTable:
@@ -205,8 +195,8 @@ class ChevalleyTable:
         sorted by element index.  Covers beyond a truncated group are left out."""
         if w_idx not in self._covers:
             group = self.group
-            w = group.elements[w_idx]
-            u, length = w.action, w.length + 1
+            u = group.elements[w_idx]
+            above = group.length(w_idx) + 1
             out = []
             for k, beta in enumerate(self.roots):
                 # w s_beta has key s_beta(u) = u - <u, beta^vee> beta, and
@@ -214,20 +204,19 @@ class ChevalleyTable:
                 c = sum(x * y for x, y in zip(u, self.coroots[k]))
                 if c <= 0:
                     continue
+                # None: longer than the truncation.  A target found is longer
+                # than w, so its level, and level l(w) + 1, exist.
                 target = group.index.get(tuple(x - c * b for x, b in zip(u, beta)))
-                if target is None:  # longer than the truncation
-                    continue
-                if group.elements[target].length == length:
+                if target is not None and target in group.levels[above]:
                     out.append((k, target))
             out.sort(key=lambda pair: pair[1])
             self._covers[w_idx] = tuple(out)
         return self._covers[w_idx]
 
 
-def chevalley_multiply(
-    group: WeylGroup, i: int, w: WeylElement
-) -> list[tuple[int, WeylElement]]:
-    """Product of the i-th degree-2 Schubert class with sigma_w.
+def chevalley_multiply(group: WeylGroup, i: int, w_idx: int) -> list[tuple[int, int]]:
+    """Product of the i-th degree-2 Schubert class with sigma_w, w the element
+    with index w_idx, as (coefficient, target index) pairs.
 
     Sum over positive roots beta with l(w s_beta) = l(w) + 1 of the pairing
     of the i-th fundamental weight with the coroot of beta, times the class
@@ -237,16 +226,18 @@ def chevalley_multiply(
     n = group.root_system.rank
     if not 1 <= i <= n:
         raise IndexError(f"degree-2 index {i} out of range 1..{n}")
-    if group.max_length is not None and w.length >= group.max_length:
+    if not 0 <= w_idx < len(group):
+        raise IndexError(f"element index {w_idx} out of range 0..{len(group) - 1}")
+    length = group.length(w_idx)
+    if group.max_length is not None and length >= group.max_length:
         raise ValueError(
-            f"sigma_w with l(w) = {w.length} times a degree-2 class leaves "
+            f"sigma_w with l(w) = {length} times a degree-2 class leaves "
             f"the group truncated at length {group.max_length}"
         )
     table = group.chevalley_table
-    # Targets share one length, so element-index order is word order.
     return [
-        (table.coefficients[k][i - 1], group.elements[target])
-        for k, target in table.covers(group.index[w.action])
+        (table.coefficients[k][i - 1], target)
+        for k, target in table.covers(w_idx)
         if table.coefficients[k][i - 1]
     ]
 
@@ -256,8 +247,8 @@ class E2Page(NamedTuple):
     coefficients: Coefficients
     max_total_degree: int
     weyl: WeylGroup
-    # cell basis: tuples (weyl element index, exterior index tuple)
-    cells: dict[tuple[int, int], tuple[tuple[int, tuple[int, ...]], ...]]
+    # cells[(s, t)]: the positions of the cells of bidegree (s, t)
+    cells: dict[tuple[int, int], range]
     # d2[(s, t)]: one row per basis element of (s, t), each a {column: value}
     # dict over the basis of (s + 2, t - 1) with the zeros left out
     d2: dict[tuple[int, int], tuple[dict[int, int], ...]]
@@ -318,15 +309,12 @@ def build_e2(
     # Cells one degree past the cutoff so every outgoing d2 has its target.
     # A cell (w, J) of (2 l(w), |J|) sits at
     # (w - weyl.levels[l(w)].start) * C(n, |J|) + rank(J).
-    cells: dict[tuple[int, int], tuple] = {}
-    for length, level in enumerate(weyl.levels):
-        s = 2 * length
-        for t in range(n + 1):
-            if s + t > max_total_degree + 1:
-                continue
-            cells[(s, t)] = tuple(
-                (w_idx, mono) for w_idx in level for mono in subsets[t]
-            )
+    cells = {
+        (2 * length, t): range(len(level) * len(subsets[t]))
+        for length, level in enumerate(weyl.levels)
+        for t in range(n + 1)
+        if 2 * length + t <= max_total_degree + 1
+    }
 
     # d2(sigma_w (x) t_g) has coefficient paired[k][g] at sigma_{w s_beta_k}:
     # tau(t_g) = sum_l tau[g][l] omega_l, and omega_l contributes the l-th
@@ -363,14 +351,7 @@ def build_e2(
     )
     d2 = {k: d2_matrix(*k) for k in d2_keys}
 
-    return E2Page(
-        group=g,
-        coefficients=coefficients,
-        max_total_degree=max_total_degree,
-        weyl=weyl,
-        cells=cells,
-        d2=d2,
-    )
+    return E2Page(g, coefficients, max_total_degree, weyl, cells, d2)
 
 
 class GradedRanks(NamedTuple):
@@ -383,9 +364,7 @@ class GradedRanks(NamedTuple):
 
 def e3_ranks(page: E2Page) -> GradedRanks:
     """Graded ranks of the homology of (E2, d2), summed along total degree."""
-    ranks: dict[int, int] = {
-        d: 0 for d in range(page.max_total_degree + 1)
-    }
+    ranks = {d: 0 for d in range(page.max_total_degree + 1)}
     bidegrees: dict[tuple[int, int], int] = {}
     # d2 o d2 = 0, so the image of the block into (s, t) lies in the kernel
     # of the block out of it.  The unit vectors off the leading columns of

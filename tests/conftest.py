@@ -112,11 +112,67 @@ def dense_rows(rows, width):
     return tuple(tuple(row.get(j, 0) for j in range(width)) for row in rows)
 
 
+@functools.lru_cache(maxsize=None)
+def lex_least_words(group):
+    """The lex-least reduced word of each element, by element index: words in
+    (length, lex) order, each element named by its image of the regular
+    weight rho = (1, ..., 1) under RootSystem.reflect, and the first word
+    found for an image kept.  An oracle that shares no code with the
+    enumeration, which appends letters and keys w by w^-1(rho).
+
+    Words grow by prepending a letter, and only the words kept at one length
+    grow into the next: a suffix of a lex-least reduced word is again one,
+    because a smaller word for the suffix would give a smaller word for w.
+    """
+    rs = group.root_system
+    n = rs.rank
+    rho = (1,) * n
+    first = {rho: ()}
+    kept = {(): rho}  # words kept at the current length -> image of rho
+    for _ in range(group.top_length):
+        # Prepending s_i to u maps u(rho) to s_i(u(rho)).
+        images = {
+            (i,) + u: rs.reflect(v, i)
+            for u, v in kept.items()
+            for i in range(1, n + 1)
+        }
+        kept = {}
+        for word in sorted(images):
+            if images[word] not in first:
+                first[images[word]] = word
+                kept[word] = images[word]
+    words = [None] * len(group)
+    for word in first.values():
+        # The element w = s_(i_1) ... s_(i_k) has key w^-1(rho), s_(i_1) first.
+        key = rho
+        for i in word:
+            key = rs.reflect(key, i)
+        words[group.index[key]] = word
+    if None in words:
+        raise AssertionError(f"{words.count(None)} elements have no word")
+    return tuple(words)
+
+
+def reference_cells(page):
+    """{(s, t): the cells (w_idx, J) of bidegree (s, t), in basis order}, with
+    w running over the elements of length s / 2 and J over the t-subsets of
+    1..n in lex order."""
+    n = page.group.rank
+    return {
+        (s, t): [
+            (w_idx, mono)
+            for w_idx in page.weyl.levels[s // 2]
+            for mono in itertools.combinations(range(1, n + 1), t)
+        ]
+        for s, t in page.cells
+    }
+
+
 def reference_d2(page):
     """The d2 blocks of a page, each term's target cell looked up by (target
     element index, remaining exterior indices) and the terms that land on one
     cell summed: the reference for build_e2's integer columns."""
-    cells = page.cells
+    cells = reference_cells(page)
     table = page.weyl.chevalley_table
     tau = transgression_matrix(page.group).matrix
     paired = tuple(

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import transgress
 from transgress import lattices, rootdata, spectral
 from transgress.cli import main
 from transgress.fixtures import run_fixtures
@@ -281,6 +286,49 @@ class TestFixturesCommand:
         )
         assert code == 2
 
+    def test_directory_corpus_is_input_error(self, tmp_path, capsys):
+        code, out, err = run_cli(["fixtures", "--corpus", str(tmp_path)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(tmp_path) in err
+
+
+def spawn_cli(argv, stdout):
+    """Run `python -m transgress.cli argv` in a fresh interpreter with the
+    given stdout; stderr is captured."""
+    package_root = str(Path(transgress.__file__).resolve().parent.parent)
+    paths = [package_root, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    return subprocess.run(
+        [sys.executable, "-m", "transgress.cli", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120,
+    )
+
+
+class TestUnwritableStdout:
+    def test_closed_pipe_exits_5_quietly(self):
+        # The read end is closed before the child starts, so its first write
+        # fails with EPIPE whatever the timing.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = spawn_cli(["describe", "A1"], write_end)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 5
+        assert proc.stderr == b""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [["describe", "A1"], ["e3", "F4", "--json"]])
+    def test_full_device_exits_5_with_one_line(self, argv):
+        with open("/dev/full", "wb") as full:
+            proc = spawn_cli(argv, full)
+        err = proc.stderr.decode()
+        assert proc.returncode == 5
+        assert "Traceback" not in err
+        assert err.startswith("error: output could not be written")
+        assert err.count("\n") == 1
+
 
 class TestParseErrorsAtCli:
     def test_unknown_family(self, capsys):
@@ -321,6 +369,10 @@ GOLDEN_STDOUT_SHA256 = {
         "6a811c4468f0f01a04f1a11e4515030baf1aba4b46f506d81a7101019fce69cf",
     "e3 E8 --coeff 3 --max-degree 9 --json --bidegrees":
         "392fcd7bf9a5e92211e83ff6866f79e203c7538a068f221ab7730067a2faf9e7",
+    "e3 F4 --coeff 3 --json --bidegrees":
+        "c6d17d00fc772db24c1a1c8310b4aeb1530e24879e799d65a2ab091528af9766",
+    "e3 E7 --coeff 2 --max-degree 12 --json --bidegrees":
+        "039ca9b661d74605d88a9b8f90e5219aa37026c4292f95475bd55820d14ce87d",
 }
 
 

@@ -39,7 +39,7 @@ class TestLieType:
 
 
 def test_root_system_holds_integer_data_only():
-    assert RootSystem._fields == ("lie_type", "cartan", "simple_roots")
+    assert RootSystem._fields == ("lie_type", "cartan")
 
 
 class TestCartan:
@@ -176,6 +176,6 @@ class TestRootGeneration:
         # The B2 Cartan matrix under the A2 label: the search finds 4 positive
         # roots where A2 has 3, and the count check is the one that catches it.
         b2 = cached_root_system("B2")
-        mislabelled = RootSystem(LieType("A", 2), b2.cartan, b2.simple_roots)
+        mislabelled = RootSystem(LieType("A", 2), b2.cartan)
         with pytest.raises(AssertionError, match="found 4 positive roots, expected 3"):
             positive_roots(mislabelled)

@@ -10,7 +10,9 @@ from conftest import (
     d2_composites,
     dense_rows,
     length_counts,
+    lex_least_words,
     reference_bidegree_ranks,
+    reference_cells,
     reference_d2,
 )
 from rational_reference import coroot_pairing, root_coordinates
@@ -60,7 +62,7 @@ class TestWeylGroup:
 
     def test_canonical_words_are_lex_least(self):
         w = cached_weyl_group("A2")
-        words = sorted(e.word for e in w.elements)
+        words = sorted(lex_least_words(w))
         # s1 s2 s1 = s2 s1 s2 is the long element; lex-least word wins
         assert (1, 2, 1) in words and (2, 1, 2) not in words
 
@@ -81,31 +83,12 @@ class TestWeylGroup:
 
     @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "C3"])
     def test_words_are_first_in_shortlex_order(self, name):
-        # Oracle sharing no code with the enumeration: every word in
-        # (length, lex) order, each element named by its image of the regular
-        # weight rho = (1, ..., 1) under RootSystem.reflect.
+        # lex_least_words is the oracle: it shares no code with the
+        # enumeration, and it names every element by its key.
         w = cached_weyl_group(name)
-        rs = w.root_system
-        n = rs.rank
-        rho = (1,) * n
-        first = {rho: ()}
-        images = {(): rho}  # words of the current length -> image of rho
-        for _ in range(w.top_length):
-            # Prepending s_i to u maps u(rho) to s_i(u(rho)).
-            images = {
-                (i,) + u: rs.reflect(v, i)
-                for u, v in images.items()
-                for i in range(1, n + 1)
-            }
-            for word in sorted(images):
-                first.setdefault(images[word], word)
-        assert len(first) == len(w)
-        for e in w.elements:
-            v = rho
-            for i in reversed(e.word):
-                v = rs.reflect(v, i)
-            assert first[v] == e.word
-        keys = [(e.length, e.word) for e in w.elements]
+        words = lex_least_words(w)
+        assert [w.length(k) for k in range(len(w))] == [len(u) for u in words]
+        keys = [(len(u), u) for u in words]
         assert keys == sorted(keys)
 
 
@@ -175,10 +158,10 @@ def a2_oracle(i, word_perm):
     return out
 
 
-def perm_of_element(e):
+def perm_of_word(word):
     s = {1: (1, 0, 2), 2: (0, 2, 1)}
     p = (0, 1, 2)
-    for i in e.word:
+    for i in word:
         p = tuple(p[s[i][k]] for k in range(3))
     return p
 
@@ -187,43 +170,51 @@ class TestChevalley:
     def test_identity_gives_degree_two_class(self):
         for name in ("A2", "C2", "G2"):
             w = cached_weyl_group(name)
-            e = w.elements[0]
+            words = lex_least_words(w)
             for i in range(1, w.root_system.rank + 1):
-                terms = chevalley_multiply(w, i, e)
+                terms = chevalley_multiply(w, i, 0)
                 assert len(terms) == 1
                 coeff, target = terms[0]
-                assert coeff == 1 and target.word == (i,)
+                assert coeff == 1 and words[target] == (i,)
 
     def test_a2_omega1_sigma_s1(self):
         w = cached_weyl_group("A2")
-        s1 = next(e for e in w.elements if e.word == (1,))
-        terms = chevalley_multiply(w, 1, s1)
-        assert [(c, e.word) for c, e in terms] == [(1, (2, 1))]
+        words = lex_least_words(w)
+        terms = chevalley_multiply(w, 1, words.index((1,)))
+        assert [(c, words[t]) for c, t in terms] == [(1, (2, 1))]
 
     def test_a2_against_brute_force_oracle(self):
         w = cached_weyl_group("A2")
-        for e in w.elements:
+        words = lex_least_words(w)
+        for e in range(len(w)):
             for i in (1, 2):
                 got = {
-                    perm_of_element(t): c for c, t in chevalley_multiply(w, i, e)
+                    perm_of_word(words[t]): c for c, t in chevalley_multiply(w, i, e)
                 }
-                assert got == a2_oracle(i, perm_of_element(e))
+                assert got == a2_oracle(i, perm_of_word(words[e]))
 
     def test_a2_omega1_sigma_s2_frozen(self):
         # value frozen from the brute-force oracle above
         w = cached_weyl_group("A2")
-        s2 = next(e for e in w.elements if e.word == (2,))
-        terms = chevalley_multiply(w, 1, s2)
-        assert [(c, e.word) for c, e in terms] == [(1, (1, 2)), (1, (2, 1))]
+        words = lex_least_words(w)
+        terms = chevalley_multiply(w, 1, words.index((2,)))
+        assert [(c, words[t]) for c, t in terms] == [(1, (1, 2)), (1, (2, 1))]
+
+    def test_element_index_out_of_range(self):
+        w = cached_weyl_group("A2")
+        for bad in (-1, len(w)):
+            with pytest.raises(IndexError, match="element index"):
+                chevalley_multiply(w, 1, bad)
 
     @pytest.mark.parametrize("name", ["C2", "G2"])
     def test_coefficients_nonnegative_and_degree_raising(self, name):
         w = cached_weyl_group(name)
-        for e in w.elements:
+        words = lex_least_words(w)
+        for e in range(len(w)):
             for i in range(1, w.root_system.rank + 1):
                 for c, target in chevalley_multiply(w, i, e):
                     assert c > 0
-                    assert target.length == e.length + 1
+                    assert len(words[target]) == len(words[e]) + 1
 
 
 # <alpha_i, alpha_j^vee> for the usual roots, Bourbaki numbering (Plates II,
@@ -244,8 +235,8 @@ class TestChevalleyCoefficient:
         # beta = s_j(alpha_i), and <omega_j, beta^vee> = -<alpha_j, alpha_i^vee>.
         i = 3 - j
         w = cached_weyl_group(name)
-        s_j = next(e for e in w.elements if e.word == (j,))
-        got = [(c, e.word) for c, e in chevalley_multiply(w, j, s_j)]
+        words = lex_least_words(w)
+        got = [(c, words[t]) for c, t in chevalley_multiply(w, j, words.index((j,)))]
         assert got == [(-BOURBAKI_PAIRINGS[name][(j, i)], (i, j))]
 
     def test_positive_roots_computed_once_per_page(self, monkeypatch):
@@ -331,6 +322,9 @@ class TestE2Page:
             parse_group_spec(spec), coefficients=p, max_total_degree=degree
         )
         reference = reference_d2(page)
+        assert page.cells == {
+            key: range(len(cells)) for key, cells in reference_cells(page).items()
+        }
         assert list(page.d2) == list(reference)
         for key, rows in page.d2.items():
             assert rows == reference[key], f"d2 block out of {key}"
@@ -511,19 +505,21 @@ class TestTruncation:
     @pytest.mark.parametrize("name", ["A2", "B3", "G2", "D4", "F4"])
     def test_truncated_group_is_prefix_of_full_group(self, name):
         full = cached_weyl_group(name)
+        full_words = lex_least_words(full)
         rs = full.root_system
         groups = [full]
         for length in range(full.top_length + 1):
             w = weyl_group(rs, max_length=length)
             groups.append(w)
-            want = [e for e in full.elements if e.length <= length]
-            assert [e.word for e in w.elements] == [e.word for e in want]
-            assert [e.action for e in w.elements] == [e.action for e in want]
+            want = [k for k, u in enumerate(full_words) if len(u) <= length]
+            assert lex_least_words(w) == tuple(full_words[k] for k in want)
+            assert w.elements == tuple(full.elements[k] for k in want)
         for w in groups:
             # The levels tile the indices in order, level l holding length l.
+            words = lex_least_words(w)
             assert [i for level in w.levels for i in level] == list(range(len(w)))
             for l, level in enumerate(w.levels):
-                assert all(w.elements[i].length == l for i in level)
+                assert all(len(words[i]) == w.length(i) == l for i in level)
 
     def test_degree_table_counts_match_enumeration(self):
         small = [
@@ -574,14 +570,18 @@ class TestTruncation:
     def test_products_agree_below_the_truncation(self):
         full = cached_weyl_group("B3")
         w = weyl_group(full.root_system, max_length=3)
-        for e in w.elements:
+        words, full_words = lex_least_words(w), lex_least_words(full)
+        for e, key in enumerate(w.elements):
             for i in (1, 2, 3):
-                if e.length == 3:
+                if len(words[e]) == 3:
                     with pytest.raises(ValueError, match="truncated at length 3"):
                         chevalley_multiply(w, i, e)
                     continue
-                got = [(c, t.word) for c, t in chevalley_multiply(w, i, e)]
-                assert got == [(c, t.word) for c, t in chevalley_multiply(full, i, e)]
+                got = [(c, words[t]) for c, t in chevalley_multiply(w, i, e)]
+                assert got == [
+                    (c, full_words[t])
+                    for c, t in chevalley_multiply(full, i, full.index[key])
+                ]
 
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):

@@ -21,7 +21,6 @@ from transgress import (
     transgression_matrix,
 )
 from transgress.fixtures import FixtureResult
-from transgress.spectral import WeylElement
 
 
 def _values():
@@ -36,7 +35,6 @@ def _values():
         g,
         rs.lie_type,
         rs,
-        page.weyl.elements[1],
         page,
         e3_ranks(page),
         transgression_matrix(g),
@@ -80,9 +78,8 @@ def test_fields_cannot_be_assigned(value):
     [
         lambda: LieType("B", 3),
         lambda: group_spec(cached_root_system("B3"), ((0, 0, 1),)),
-        lambda: WeylElement(word=(1, 2), action=(-1, 3, 1)),
     ],
-    ids=["LieType", "GroupSpec", "WeylElement"],
+    ids=["LieType", "GroupSpec"],
 )
 def test_equal_by_value_and_usable_as_dict_keys(make):
     a, b = make(), make()
