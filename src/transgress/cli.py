@@ -171,20 +171,21 @@ def cmd_tau(args, out) -> int:
 
 def cmd_e3(args, out) -> int:
     g = parse_group_spec(args.spec)
+    t = g.root_system.lie_type
+    top = spectral.total_degree_bound(t, args.max_degree)
     cap = sys.maxsize if args.force else spectral.DEFAULT_WEYL_CAP
+    # Degrees past dim G // 2 are read off the lower half by duality.
     page = spectral.build_e2(
         g,
         coefficients=args.coeff,
-        max_total_degree=args.max_degree,
+        max_total_degree=min(top, t.dim_group // 2),
         size_cap=cap,
     )
-    ranks = spectral.e3_ranks(page)
+    ranks = spectral.mirror_ranks(page, spectral.e3_ranks(page), top)
     payload = {
         "coefficients": "rational" if args.coeff is None else args.coeff,
-        "max_total_degree": page.max_total_degree,
-        "ranks": [
-            [d, ranks.ranks.get(d, 0)] for d in range(page.max_total_degree + 1)
-        ],
+        "max_total_degree": top,
+        "ranks": [[d, ranks.ranks.get(d, 0)] for d in range(top + 1)],
         "poincare": " + ".join(
             (f"{r}q^{d}" if d else str(r)) if r != 1 or d == 0 else f"q^{d}"
             for d, r in sorted(ranks.ranks.items())
@@ -239,8 +240,19 @@ def field(value: str) -> int | None:
     return None if value == "q" else int(value)
 
 
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):
+        # argparse drops a failed write.  A failed write of the help text to
+        # stdout must reach main's OSError handling instead: an unbuffered
+        # stdout fails here, a buffered one in main's flush.
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="transgress",
         description="Transgression matrices and E2/E3 pages for compact "
         "semisimple Lie groups.",
@@ -267,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bidegrees", action="store_true")
     p.add_argument("--force", action="store_true",
                    help="ignore the size cap on the Weyl group elements of "
-                   "length <= (D + 1) // 2 that the page uses")
+                   "length <= (min(D, dim G // 2) + 1) // 2 that the page uses")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_e3)
 
@@ -282,10 +294,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_INPUT if exc.code else EXIT_OK
-    try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            if exc.code:
+                return EXIT_INPUT
+            sys.stdout.flush()  # --help: a buffered write fails only here
+            return EXIT_OK
         if getattr(args, "mod", None) is not None and not is_prime(args.mod):
             print(f"error: --mod modulus {args.mod} is not prime", file=sys.stderr)
             return EXIT_INPUT

@@ -19,9 +19,11 @@ that the block out of it need not be ranked on.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
@@ -160,6 +162,10 @@ def solve_rational(m: Matrix, b: Matrix) -> tuple[tuple[Fraction, ...], ...]:
     Raises SingularMatrixError when M is singular; integrality of the result
     is the caller's concern (see solve_integral).
     """
+    # Imported here: fractions loads decimal and numbers, and only the tau
+    # path (lattices.transition_matrix) solves over Q.
+    from fractions import Fraction
+
     n, c = dims(m)
     if n != c:
         raise ValueError("solve_rational requires a square matrix")

@@ -8,7 +8,8 @@ generators.  The center is known by its invariant factors (the Smith
 diagonal of the Cartan matrix), and the fundamental weights generate it.
 unit_lattice_basis returns the basis theta of the unit lattice; the
 transition matrix C expresses the simple roots in theta, and its transpose
-is the transgression matrix downstream.
+is the transgression matrix downstream.  hermite_coordinates writes one
+vector in a Hermite theta in integers, with no solve over Q.
 """
 
 from __future__ import annotations
@@ -213,6 +214,20 @@ def unit_lattice_basis(g: GroupSpec) -> Matrix:
     if not all(theta[i][i] for i in range(n)):
         raise LatticeConsistencyError("unit lattice basis is rank deficient")
     return theta
+
+
+def hermite_coordinates(theta: Matrix, v: Vector) -> Vector:
+    """The integer x with x @ theta = v, for a basis theta in Hermite form
+    (upper triangular, nonzero diagonal), by forward substitution."""
+    x: list[int] = []
+    for j in range(len(v)):
+        q, r = divmod(v[j] - sum(x[i] * theta[i][j] for i in range(j)), theta[j][j])
+        if r:
+            raise LatticeConsistencyError(
+                f"{v} is not integral in the unit lattice basis"
+            )
+        x.append(q)
+    return tuple(x)
 
 
 def transition_matrix(g: GroupSpec) -> Matrix:

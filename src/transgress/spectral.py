@@ -11,6 +11,11 @@ The Weyl group is enumerated one length at a time, so the elements of length
 l fill the index range WeylGroup.levels[l].  An element is named by its index
 alone, and a cell by its position in its bidegree (see build_e2).
 
+The d2 coefficients are the coordinates of the positive roots in the basis
+theta of the unit lattice (theta_coordinates), so the page needs no tau.
+A page built to dim G // 2 gives the E3 ranks in every degree by Poincare
+duality (mirror_ranks).
+
 Coefficients are a field: None means the rationals, an int means Z_p.
 build_e2 checks that p is prime, before any Weyl or lattice work.
 """
@@ -22,7 +27,8 @@ from bisect import bisect_right
 from functools import cached_property
 from typing import NamedTuple
 
-from . import exactlin, transgression
+from . import exactlin, lattices
+from .exactlin import Vector
 from .lattices import GroupSpec
 from .rootdata import LieType, RootSystem, positive_roots
 
@@ -242,6 +248,24 @@ def chevalley_multiply(group: WeylGroup, i: int, w_idx: int) -> list[tuple[int, 
     ]
 
 
+def theta_coordinates(g: GroupSpec, table: ChevalleyTable) -> tuple[Vector, ...]:
+    """The coordinates of each positive root beta_k of the table in the basis
+    theta of the unit lattice of g, in integers.
+
+    These are the d2 coefficients: tau(t_g) = sum_l tau[g][l] omega_l, and
+    omega_l contributes the l-th coefficient of beta_k.  tau is C^T, where the
+    simple roots are C theta, so that sum is the g-th coordinate of beta_k in
+    theta.  It is read off in the three cases of lattices.unit_lattice_basis:
+    theta is the identity, the simple roots, or a Hermite form.
+    """
+    if g.weight_basis:
+        return table.roots
+    if lattices.is_simply_connected(g):
+        return table.coefficients
+    theta = lattices.unit_lattice_basis(g)
+    return tuple(lattices.hermite_coordinates(theta, beta) for beta in table.roots)
+
+
 class E2Page(NamedTuple):
     group: GroupSpec
     coefficients: Coefficients
@@ -264,6 +288,18 @@ class E2Page(NamedTuple):
         return len(self.cells.get((s, t), ()))
 
 
+def total_degree_bound(t: LieType, max_total_degree: int | None) -> int:
+    """max_total_degree, dim G when None, checked to lie in 0..dim G."""
+    dim_g = t.dim_group
+    if max_total_degree is None:
+        return dim_g
+    if not 0 <= max_total_degree <= dim_g:
+        raise ValueError(
+            f"max total degree {max_total_degree} is outside 0..dim G = {dim_g}"
+        )
+    return max_total_degree
+
+
 def build_e2(
     g: GroupSpec,
     coefficients: Coefficients = None,
@@ -273,20 +309,13 @@ def build_e2(
     """The E2 page up to total degree max_total_degree (default dim G)."""
     rs = g.root_system
     n = rs.rank
-    dim_g = rs.lie_type.dim_group
-    if max_total_degree is None:
-        max_total_degree = dim_g
-    if not 0 <= max_total_degree <= dim_g:
-        raise ValueError(
-            f"max total degree {max_total_degree} is outside 0..dim G = {dim_g}"
-        )
+    max_total_degree = total_degree_bound(rs.lie_type, max_total_degree)
     if coefficients is not None and not exactlin.is_prime(coefficients):
         raise ValueError(f"coefficient modulus {coefficients} is not prime")
     # A cell sigma_w (x) t_J has bidegree (2 l(w), |J|); cells reach total
     # degree max_total_degree + 1, so l(w) <= (max_total_degree + 1) // 2.
     # The Weyl group checks its size cap here, before any lattice work.
     weyl = weyl_group(rs, size_cap, (max_total_degree + 1) // 2)
-    tau = transgression.transgression_matrix(g).matrix
 
     # subsets[t]: the t-element subsets J of 1..n in lex order, and rank_of[t]
     # their places in it.  faces[t][r] lists, for the r-th subset J and each
@@ -316,14 +345,9 @@ def build_e2(
         if 2 * length + t <= max_total_degree + 1
     }
 
-    # d2(sigma_w (x) t_g) has coefficient paired[k][g] at sigma_{w s_beta_k}:
-    # tau(t_g) = sum_l tau[g][l] omega_l, and omega_l contributes the l-th
-    # coefficient of beta_k.
+    # d2(sigma_w (x) t_g) has coefficient paired[k][g] at sigma_{w s_beta_k}.
     table = weyl.chevalley_table
-    paired = tuple(
-        tuple(sum(t * c for t, c in zip(tau_g, coeffs)) for tau_g in tau)
-        for coeffs in table.coefficients
-    )
+    paired = theta_coordinates(g, table)
 
     def d2_matrix(s: int, t: int) -> tuple[dict[int, int], ...]:
         # Covers of w have distinct targets and the faces of J are distinct,
@@ -391,3 +415,37 @@ def e3_ranks(page: E2Page) -> GradedRanks:
             bidegrees[(s, t)] = e3
             ranks[s + t] += e3
     return GradedRanks(ranks=ranks, bidegree_ranks=bidegrees)
+
+
+def mirror_ranks(page: E2Page, ranks: GradedRanks, up_to: int) -> GradedRanks:
+    """The E3 ranks of the page, ranks = e3_ranks(page), continued to total
+    degree up_to by Poincare duality.
+
+    H*(G/T; F) is a Poincare duality algebra of top degree 2N, N the number
+    of positive roots, and the Koszul complex (E2, d2) of n degree-2 classes
+    over it is self-dual (Bruns-Herzog, Cohen-Macaulay Rings, 1.6; Avramov-
+    Golod 1971).  So E3^(s,t) and E3^(2N - s, n - t) have equal rank, and a
+    page built to dim G // 2 gives every degree up to dim G.
+    """
+    t = page.group.root_system.lie_type
+    built = page.max_total_degree
+    dim_g = t.dim_group
+    total_degree_bound(t, up_to)
+    if up_to > built and built < dim_g // 2:
+        raise ValueError(
+            f"a page built to degree {built} < dim G // 2 = {dim_g // 2} "
+            f"does not reach degree {up_to} by duality"
+        )
+    totals = {
+        d: ranks.ranks.get(d if d <= built else dim_g - d, 0)
+        for d in range(up_to + 1)
+    }
+    bidegrees = {
+        (s, u): r for (s, u), r in ranks.bidegree_ranks.items() if s + u <= up_to
+    }
+    bidegrees.update(
+        ((t.root_count - s, t.rank - u), r)
+        for (s, u), r in ranks.bidegree_ranks.items()
+        if built < dim_g - s - u <= up_to
+    )
+    return GradedRanks(ranks=totals, bidegree_ranks=bidegrees)

@@ -178,6 +178,23 @@ class TestE3:
         assert out == ""
         assert "2508" in err and "length <= 6" in err
 
+    @pytest.mark.parametrize("spec,count,length", [
+        ("A6", 3624, 12), ("B5", 2585, 14), ("E6", 34823, 20),
+    ])
+    def test_full_page_cap_counts_the_half_page(self, spec, count, length, capsys):
+        # A full page is built to dim G // 2 and mirrored, so the cap counts
+        # the elements of length <= (dim G // 2 + 1) // 2, not the group.
+        code, out, err = run_cli(["e3", spec], capsys)
+        assert code == 1
+        assert out == ""
+        assert f"{count} elements of length <= {length}," in err
+
+    def test_full_page_under_the_cap_runs(self, capsys):
+        # W(D5) has 1920 elements; the half page enumerates 1271 of them.
+        code, out, _ = run_cli(["e3", "D5:pi1=[1,0,0,0,0]", "--coeff", "2"], capsys)
+        assert code == 0
+        assert "E3 ranks by total degree: 1 + q^1 + q^2 + 2q^3 + 2q^4" in out
+
     @pytest.mark.parametrize("argv,module,name,error", [
         (["describe", "A2"], lattices, "unit_lattice_basis", LatticeConsistencyError),
         (["e3", "A2"], spectral, "e3_ranks", AssertionError),
@@ -293,14 +310,18 @@ class TestFixturesCommand:
         assert str(tmp_path) in err
 
 
-def spawn_cli(argv, stdout):
+def spawn_cli(argv, stdout, unbuffered=None):
     """Run `python -m transgress.cli argv` in a fresh interpreter with the
-    given stdout; stderr is captured."""
+    given stdout; stderr is captured.  unbuffered=True or False runs the
+    child with an unbuffered or a block-buffered stdout, and None inherits
+    the setting."""
     package_root = str(Path(transgress.__file__).resolve().parent.parent)
     paths = [package_root, os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    if unbuffered is not None:
+        env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run(
-        [sys.executable, "-m", "transgress.cli", *argv],
+        [sys.executable, *["-u"] * bool(unbuffered), "-m", "transgress.cli", *argv],
         stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120,
     )
 
@@ -328,6 +349,31 @@ class TestUnwritableStdout:
         assert "Traceback" not in err
         assert err.startswith("error: output could not be written")
         assert err.count("\n") == 1
+
+    # argparse drops a failed write of the help text: into a buffered stdout
+    # the write succeeds and the flush fails, into an unbuffered one the
+    # write itself fails.
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("argv", [["--help"], ["e3", "--help"]])
+    def test_help_into_full_device_exits_5(self, argv, unbuffered):
+        with open("/dev/full", "wb") as full:
+            proc = spawn_cli(argv, full, unbuffered)
+        err = proc.stderr.decode()
+        assert proc.returncode == 5
+        assert err.startswith("error: output could not be written")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_help_into_closed_pipe_exits_5_quietly(self, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = spawn_cli(["--help"], write_end, unbuffered)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 5
+        assert proc.stderr == b""
 
 
 class TestParseErrorsAtCli:

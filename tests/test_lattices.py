@@ -24,6 +24,7 @@ from transgress.exactlin import (
 from transgress.lattices import (
     GroupSpec,
     LatticeConsistencyError,
+    hermite_coordinates,
     is_adjoint,
     is_simply_connected,
     pi1_order,
@@ -120,6 +121,18 @@ class TestUnitLattice:
             assert not is_simply_connected(g) and not is_adjoint(g)
             theta = unit_lattice_basis(g)
             assert abs(det(theta)) == abs(det(rs.cartan)) // s.order
+
+
+class TestHermiteCoordinates:
+    def test_forward_substitution(self):
+        theta = ((2, 1, 0), (0, 3, -1), (0, 0, 1))
+        for x in [(0, 0, 0), (1, 0, 0), (-2, 5, 7), (3, -1, 4)]:
+            v = tuple(sum(x[i] * theta[i][j] for i in range(3)) for j in range(3))
+            assert hermite_coordinates(theta, v) == x
+
+    def test_vector_off_the_lattice_raises(self):
+        with pytest.raises(LatticeConsistencyError, match="not integral"):
+            hermite_coordinates(((2, 0), (0, 1)), (1, 0))
 
 
 # Types whose center is nontrivial: all but E8, F4 and G2.

@@ -24,7 +24,11 @@ def test_root_data_parse_and_spectral_are_integer_only():
     # The spec parse and root data under every subcommand, and the E3 path
     # (Weyl enumeration, Chevalley table, d2), must not fall back on rational
     # arithmetic; the rational reference lives in tests/rational_reference.py.
-    banned = {"fractions", "Fraction", "solve_rational", "root_coordinates"}
+    # d2 reads the roots' coordinates in theta, not tau's rational solve.
+    banned = {
+        "fractions", "Fraction", "solve_rational", "root_coordinates",
+        "transgression", "transgression_matrix", "transition_matrix",
+    }
     found = []
     for name in ("groupspec.py", "rootdata.py", "spectral.py"):
         path = PACKAGE / name
@@ -60,3 +64,24 @@ def test_cli_import_path_stays_light():
     ).stdout.split()
     assert "transgress.cli" in added
     assert {"dataclasses", "inspect", "transgress.fixtures"}.isdisjoint(added)
+
+
+def test_e3_path_never_loads_fractions():
+    # fractions brings decimal and numbers; only the tau path solves over Q.
+    code = (
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
+        "import transgress.cli\n"
+        "for argv in (['e3', 'C3:adj'], ['e3', 'D4:pi1=[1,0,0,0]', '--coeff', '2']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert transgress.cli.main(argv) == 0, argv\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    paths = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    added = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout.split()
+    assert "transgress.cli" in added and "transgress.spectral" in added
+    assert "fractions" not in added

@@ -27,8 +27,9 @@ from transgress import (
 )
 from transgress import spectral
 from transgress.exactlin import rank
+from transgress.lattices import center_group, enumerate_pi1_choices
 from transgress.spectral import WeylCapExceededError, invariant_degrees
-from transgress.transgression import modp_analysis
+from transgress.transgression import modp_analysis, transgression_matrix
 
 
 def exterior_poincare(degrees, up_to):
@@ -314,6 +315,10 @@ class TestE2Page:
         ("A4:adj", 5, 8),
         ("D4:sc", None, 9),
         ("F4:sc", 3, 6),
+        ("C3:adj", None, None),
+        ("G2:adj", None, None),
+        ("A3:pi1=[0,1,0]", 2, None),
+        ("D4:pi1=[1,0,0,0]", 2, None),
     ])
     def test_d2_blocks_match_reference_assembly(self, spec, p, degree):
         # No two terms of a d2 row share a column, so build_e2 writes each
@@ -339,14 +344,39 @@ class TestE2Page:
         with pytest.raises(ValueError):
             build_e2(g, coefficients=4)
 
-    def test_cap_refusal_comes_before_lattice_work(self, monkeypatch):
-        # A7 has 40320 Weyl elements; the refusal must not wait for tau.
-        def no_tau(g):
-            raise AssertionError("tau computed before the Weyl cap check")
+    @pytest.mark.parametrize("name", ALL_TYPES)
+    def test_theta_coordinates_are_tau_pairings(self, name):
+        # On every form, the d2 coefficient of beta_k read off theta is the
+        # tau-based sum over l of tau[g][l] times beta_k's l-th simple-root
+        # coordinate.
+        rs = cached_root_system(name)
+        table = weyl_group(rs, max_length=0).chevalley_table
+        forms = [adjoint_spec(rs)] + [
+            group_spec(rs, sub.generators)
+            for sub in enumerate_pi1_choices(center_group(rs))
+        ]
+        for g in forms:
+            tau = transgression_matrix(g).matrix
+            want = tuple(
+                tuple(sum(t * c for t, c in zip(tau_g, coeffs)) for tau_g in tau)
+                for coeffs in table.coefficients
+            )
+            assert spectral.theta_coordinates(g, table) == want, g.pi1_generators
 
-        monkeypatch.setattr(spectral.transgression, "transgression_matrix", no_tau)
-        with pytest.raises(WeylCapExceededError, match="40320"):
-            build_e2(adjoint_spec(cached_root_system("A7")))
+    def test_cap_refusal_comes_before_lattice_work(self, monkeypatch):
+        # A7 has 40320 Weyl elements; the refusal must not wait for theta.
+        def no_lattice_work(*args):
+            raise AssertionError("lattice work before the Weyl cap check")
+
+        groups = [
+            adjoint_spec(cached_root_system("A7")),
+            parse_group_spec("A7:pi1=[0,1,0,0,0,0,0]"),
+        ]
+        for name in ("unit_lattice_basis", "hermite_coordinates", "transition_matrix"):
+            monkeypatch.setattr(spectral.lattices, name, no_lattice_work)
+        for g in groups:
+            with pytest.raises(WeylCapExceededError, match="40320"):
+                build_e2(g)
 
     @pytest.mark.parametrize("spec", ["G2:sc", "B3:sc", "C3:adj"])
     @pytest.mark.parametrize("p", [None, 2])
