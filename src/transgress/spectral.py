@@ -23,8 +23,7 @@ build_e2 checks that p is prime, before any Weyl or lattice work.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
-from functools import cached_property
+from operator import mul
 from typing import NamedTuple
 
 from . import exactlin, lattices
@@ -86,14 +85,26 @@ def length_count(t: LieType, max_length: int | None = None) -> int:
 
 class WeylGroup:
     """The elements of length <= max_length (default: all), in shortlex order
-    of their lex-least reduced words.  levels[l] is the range of indices of
-    the elements of length l.
+    of their lex-least reduced words, with the root data of the Chevalley
+    rule and the Bruhat covers.  levels[l] is the range of indices of the
+    elements of length l.
 
     Each element w is keyed by w^-1(rho), rho = (1, ..., 1), and elements[k]
     is the key of the k-th element.  Then w s_i has key s_i(w^-1(rho)), and
     l(w s_i) > l(w) exactly when the i-th coordinate of the key is positive
     (Casselman, Invent. Math. 116, 1994).  The size cap counts the elements
     that will be enumerated, before the search runs.
+
+    For each positive root beta (in `positive_roots` order) it holds two
+    integer vectors.  `coefficients` are the coordinates of beta in the simple
+    roots: roots here live in L(T), so beta is a coroot of the usual
+    presentation and these are its Chevalley coefficients <omega_i, beta^vee>.
+    `coroots` are the pairings 2(e_i, beta)/(beta, beta) of this presentation
+    (`coroot_pairing` in tests/rational_reference.py), which give s_beta on
+    the keys.  covers[w] lists the pairs (root index k, index of w s_beta_k)
+    with l(w s_beta_k) = l(w) + 1, sorted by element index; it has an entry
+    for every element of the whole group, and for every element below the
+    top level of a truncated one.
     """
 
     def __init__(
@@ -133,48 +144,9 @@ class WeylGroup:
                 f"enumerated {len(elements)} Weyl group elements, expected {order}"
             )
         self.elements = tuple(elements)
-        self.index = {u: k for k, u in enumerate(self.elements)}
+        self.index = index = {u: k for k, u in enumerate(self.elements)}
         self.levels = tuple(levels)
 
-    def __len__(self):
-        return len(self.elements)
-
-    def length(self, w_idx: int) -> int:
-        """The length of the element with index w_idx: the level holding it."""
-        return bisect_right(self.levels, w_idx, key=lambda level: level.stop)
-
-    @cached_property
-    def chevalley_table(self) -> ChevalleyTable:
-        return ChevalleyTable(self)
-
-    @property
-    def top_length(self) -> int:
-        return len(self.levels) - 1
-
-
-def weyl_group(
-    rs: RootSystem, size_cap: int = DEFAULT_WEYL_CAP, max_length: int | None = None
-) -> WeylGroup:
-    return WeylGroup(rs, size_cap, max_length)
-
-
-class ChevalleyTable:
-    """Root data of the Chevalley rule for one Weyl group, computed once.
-
-    For each positive root beta (in `positive_roots` order) it holds two
-    integer vectors.  `coefficients` are the coordinates of beta in the simple
-    roots: roots here live in L(T), so beta is a coroot of the usual
-    presentation and these are its Chevalley coefficients <omega_i, beta^vee>.
-    `coroots` are the pairings 2(e_i, beta)/(beta, beta) of this presentation
-    (`coroot_pairing` in tests/rational_reference.py), which give s_beta on
-    the keys w^-1(rho).  The Bruhat covers of an element are computed on first
-    use.
-    """
-
-    def __init__(self, group: WeylGroup):
-        rs = group.root_system
-        n = rs.rank
-        self.group = group
         self.roots = positive_roots(rs)
         # Up by height from the simple roots: a positive root beta that is not
         # simple has some beta_i > 0, and then beta = s_i(gamma) for the lower
@@ -194,30 +166,37 @@ class ChevalleyTable:
             data[beta] = (tuple(m), tuple(c))
         self.coefficients = tuple(data[b][0] for b in self.roots)
         self.coroots = tuple(data[b][1] for b in self.roots)
-        self._covers: dict[int, tuple[tuple[int, int], ...]] = {}
 
-    def covers(self, w_idx: int) -> tuple[tuple[int, int], ...]:
-        """Pairs (root index k, index of w s_beta_k) with l(w s_beta_k) = l(w) + 1,
-        sorted by element index.  Covers beyond a truncated group are left out."""
-        if w_idx not in self._covers:
-            group = self.group
-            u = group.elements[w_idx]
-            above = group.length(w_idx) + 1
-            out = []
-            for k, beta in enumerate(self.roots):
-                # w s_beta has key s_beta(u) = u - <u, beta^vee> beta, and
-                # l(w s_beta) > l(w) exactly when <u, beta^vee> > 0.
-                c = sum(x * y for x, y in zip(u, self.coroots[k]))
-                if c <= 0:
-                    continue
-                # None: longer than the truncation.  A target found is longer
-                # than w, so its level, and level l(w) + 1, exist.
-                target = group.index.get(tuple(x - c * b for x, b in zip(u, beta)))
-                if target is not None and target in group.levels[above]:
-                    out.append((k, target))
-            out.sort(key=lambda pair: pair[1])
-            self._covers[w_idx] = tuple(out)
-        return self._covers[w_idx]
+        # The top element of the whole group is longer than every w s_beta,
+        # so it finds no cover and needs no level above it.
+        above = self.levels[1:] + ((range(0),) if max_length is None else ())
+        roots = tuple(enumerate(zip(self.roots, self.coroots)))
+        covers = []
+        for level, up in zip(self.levels, above):
+            for u in self.elements[level.start : level.stop]:
+                out = []
+                for k, (beta, coroot) in roots:
+                    # w s_beta has key s_beta(u) = u - <u, beta^vee> beta, and
+                    # l(w s_beta) > l(w) exactly when <u, beta^vee> > 0.
+                    c = sum(map(mul, u, coroot))
+                    if c <= 0:
+                        continue
+                    # None: longer than the truncation.
+                    target = index.get(tuple([x - c * b for x, b in zip(u, beta)]))
+                    if target is not None and target in up:
+                        out.append((k, target))
+                out.sort(key=lambda pair: pair[1])
+                covers.append(tuple(out))
+        self.covers = tuple(covers)
+
+    def __len__(self):
+        return len(self.elements)
+
+
+def weyl_group(
+    rs: RootSystem, size_cap: int = DEFAULT_WEYL_CAP, max_length: int | None = None
+) -> WeylGroup:
+    return WeylGroup(rs, size_cap, max_length)
 
 
 def chevalley_multiply(group: WeylGroup, i: int, w_idx: int) -> list[tuple[int, int]]:
@@ -234,23 +213,22 @@ def chevalley_multiply(group: WeylGroup, i: int, w_idx: int) -> list[tuple[int, 
         raise IndexError(f"degree-2 index {i} out of range 1..{n}")
     if not 0 <= w_idx < len(group):
         raise IndexError(f"element index {w_idx} out of range 0..{len(group) - 1}")
-    length = group.length(w_idx)
-    if group.max_length is not None and length >= group.max_length:
+    if w_idx >= len(group.covers):
+        # covers stops below the top level of a truncated group.
         raise ValueError(
-            f"sigma_w with l(w) = {length} times a degree-2 class leaves "
-            f"the group truncated at length {group.max_length}"
+            f"sigma_w with l(w) = {group.max_length} times a degree-2 class "
+            f"leaves the group truncated at length {group.max_length}"
         )
-    table = group.chevalley_table
     return [
-        (table.coefficients[k][i - 1], target)
-        for k, target in table.covers(w_idx)
-        if table.coefficients[k][i - 1]
+        (group.coefficients[k][i - 1], target)
+        for k, target in group.covers[w_idx]
+        if group.coefficients[k][i - 1]
     ]
 
 
-def theta_coordinates(g: GroupSpec, table: ChevalleyTable) -> tuple[Vector, ...]:
-    """The coordinates of each positive root beta_k of the table in the basis
-    theta of the unit lattice of g, in integers.
+def theta_coordinates(g: GroupSpec, weyl: WeylGroup) -> tuple[Vector, ...]:
+    """The coordinates of each positive root beta_k of the Weyl group in the
+    basis theta of the unit lattice of g, in integers.
 
     These are the d2 coefficients: tau(t_g) = sum_l tau[g][l] omega_l, and
     omega_l contributes the l-th coefficient of beta_k.  tau is C^T, where the
@@ -259,11 +237,11 @@ def theta_coordinates(g: GroupSpec, table: ChevalleyTable) -> tuple[Vector, ...]
     theta is the identity, the simple roots, or a Hermite form.
     """
     if g.weight_basis:
-        return table.roots
+        return weyl.roots
     if lattices.is_simply_connected(g):
-        return table.coefficients
+        return weyl.coefficients
     theta = lattices.unit_lattice_basis(g)
-    return tuple(lattices.hermite_coordinates(theta, beta) for beta in table.roots)
+    return tuple(lattices.hermite_coordinates(theta, beta) for beta in weyl.roots)
 
 
 class E2Page(NamedTuple):
@@ -283,9 +261,6 @@ class E2Page(NamedTuple):
             f"E2Page(group={self.group!r}, coefficients={self.coefficients!r}, "
             f"max_total_degree={self.max_total_degree!r})"
         )
-
-    def cell_dim(self, s: int, t: int) -> int:
-        return len(self.cells.get((s, t), ()))
 
 
 def total_degree_bound(t: LieType, max_total_degree: int | None) -> int:
@@ -346,8 +321,7 @@ def build_e2(
     }
 
     # d2(sigma_w (x) t_g) has coefficient paired[k][g] at sigma_{w s_beta_k}.
-    table = weyl.chevalley_table
-    paired = theta_coordinates(g, table)
+    paired = theta_coordinates(g, weyl)
 
     def d2_matrix(s: int, t: int) -> tuple[dict[int, int], ...]:
         # Covers of w have distinct targets and the faces of J are distinct,
@@ -359,7 +333,7 @@ def build_e2(
         for w_idx in level:
             covers = [
                 ((target - level.stop) * width, paired[k])
-                for k, target in table.covers(w_idx)
+                for k, target in weyl.covers[w_idx]
             ]
             for mono_faces in faces[t]:
                 rows.append({

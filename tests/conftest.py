@@ -8,6 +8,8 @@ from transgress import LieType, build_root_system, transgression_matrix, weyl_gr
 from transgress.exactlin import Matrix, Vector, det, dims, rank
 from transgress.rootdata import positive_roots
 
+from rational_reference import coroot_pairing, root_coordinates
+
 # Every simple type at rank <= 8.
 ALL_TYPES = (
     [f"A{r}" for r in range(1, 9)]
@@ -129,7 +131,7 @@ def lex_least_words(group):
     rho = (1,) * n
     first = {rho: ()}
     kept = {(): rho}  # words kept at the current length -> image of rho
-    for _ in range(group.top_length):
+    for _ in range(len(group.levels) - 1):
         # Prepending s_i to u maps u(rho) to s_i(u(rho)).
         images = {
             (i,) + u: rs.reflect(v, i)
@@ -168,17 +170,73 @@ def reference_cells(page):
     }
 
 
+@functools.lru_cache(maxsize=None)
+def reference_coroot_pairings(rs):
+    """{beta: (<e_1, beta^vee>, ..., <e_n, beta^vee>)} over the positive roots
+    beta, the roots found by closure under the simple reflections
+    (generate_all_roots) and kept when their simple-root coordinates are
+    nonnegative, the pairings by rational_reference.coroot_pairing.  An
+    oracle that shares no code with positive_roots or the integer coroots."""
+    n = rs.rank
+    unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    out = {}
+    for beta in sorted(generate_all_roots(rs.cartan, rs.simple_roots)):
+        if min(root_coordinates(rs, beta)) < 0:
+            continue
+        pairings = [coroot_pairing(rs, e, beta) for e in unit]
+        if any(c.denominator != 1 for c in pairings):
+            raise AssertionError(f"{beta}: coroot pairings {pairings}")
+        out[beta] = tuple(int(c) for c in pairings)
+    return out
+
+
+def reference_covers(group):
+    """{w_idx: ((beta, index of w s_beta), ...) sorted by index} for every
+    element w of the group shorter than its truncation (every element of a
+    whole group).
+
+    w s_beta has key v - <v, beta^vee> beta, v the key of w, and the length
+    of a key v is #{beta > 0 : <v, beta^vee> < 0}; a cover is a target in the
+    group of length l(w) + 1.  An oracle that reads neither the levels nor the
+    group's root data."""
+    pairings = reference_coroot_pairings(group.root_system)
+
+    def pair(v, beta):
+        return sum(x * c for x, c in zip(v, pairings[beta]))
+
+    @functools.cache
+    def length(v):
+        return sum(pair(v, beta) < 0 for beta in pairings)
+
+    out = {}
+    for w_idx, v in enumerate(group.elements):
+        if group.max_length is not None and length(v) >= group.max_length:
+            continue
+        found = []
+        for beta in pairings:
+            target = tuple(x - pair(v, beta) * b for x, b in zip(v, beta))
+            if target in group.index and length(target) == length(v) + 1:
+                found.append((beta, group.index[target]))
+        out[w_idx] = tuple(sorted(found, key=lambda cover: cover[1]))
+    return out
+
+
 def reference_d2(page):
     """The d2 blocks of a page, each term's target cell looked up by (target
     element index, remaining exterior indices) and the terms that land on one
-    cell summed: the reference for build_e2's integer columns."""
+    cell summed: the reference for build_e2's integer columns, from the
+    reference covers and tau times the roots' simple-root coordinates."""
     cells = reference_cells(page)
-    table = page.weyl.chevalley_table
+    rs = page.group.root_system
+    covers = reference_covers(page.weyl)
     tau = transgression_matrix(page.group).matrix
-    paired = tuple(
-        tuple(sum(t * c for t, c in zip(tau_g, coeffs)) for tau_g in tau)
-        for coeffs in table.coefficients
-    )
+    paired = {
+        beta: tuple(
+            int(sum(t * c for t, c in zip(tau_g, root_coordinates(rs, beta))))
+            for tau_g in tau
+        )
+        for beta in reference_coroot_pairings(rs)
+    }
 
     def d2_matrix(s, t):
         target = cells.get((s + 2, t - 1), ())
@@ -189,10 +247,10 @@ def reference_d2(page):
             for j, gen in enumerate(mono):
                 rest = mono[:j] + mono[j + 1 :]
                 sign = -1 if j % 2 else 1
-                for k, tgt_idx in table.covers(w_idx):
+                for beta, tgt_idx in covers[w_idx]:
                     col = pos.get((tgt_idx, rest))
                     if col is not None:
-                        row[col] = row.get(col, 0) + sign * paired[k][gen - 1]
+                        row[col] = row.get(col, 0) + sign * paired[beta][gen - 1]
             rows.append({col: x for col, x in row.items() if x})
         return tuple(rows)
 

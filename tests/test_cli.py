@@ -326,33 +326,36 @@ def spawn_cli(argv, stdout, unbuffered=None):
     )
 
 
+# Into a block-buffered stdout the output is written and main's flush fails;
+# into an unbuffered one the write itself fails.  Each test runs both, so
+# neither path depends on the caller's PYTHONUNBUFFERED.
 class TestUnwritableStdout:
-    def test_closed_pipe_exits_5_quietly(self):
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_pipe_exits_5_quietly(self, unbuffered):
         # The read end is closed before the child starts, so its first write
         # fails with EPIPE whatever the timing.
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            proc = spawn_cli(["describe", "A1"], write_end)
+            proc = spawn_cli(["describe", "A1"], write_end, unbuffered)
         finally:
             os.close(write_end)
         assert proc.returncode == 5
         assert proc.stderr == b""
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True])
     @pytest.mark.parametrize("argv", [["describe", "A1"], ["e3", "F4", "--json"]])
-    def test_full_device_exits_5_with_one_line(self, argv):
+    def test_full_device_exits_5_with_one_line(self, argv, unbuffered):
         with open("/dev/full", "wb") as full:
-            proc = spawn_cli(argv, full)
+            proc = spawn_cli(argv, full, unbuffered)
         err = proc.stderr.decode()
         assert proc.returncode == 5
         assert "Traceback" not in err
         assert err.startswith("error: output could not be written")
         assert err.count("\n") == 1
 
-    # argparse drops a failed write of the help text: into a buffered stdout
-    # the write succeeds and the flush fails, into an unbuffered one the
-    # write itself fails.
+    # argparse drops a failed write of the help text, in either path.
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     @pytest.mark.parametrize("unbuffered", [False, True])
     @pytest.mark.parametrize("argv", [["--help"], ["e3", "--help"]])

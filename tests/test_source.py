@@ -22,7 +22,7 @@ def test_package_has_no_assert_statements():
 
 def test_root_data_parse_and_spectral_are_integer_only():
     # The spec parse and root data under every subcommand, and the E3 path
-    # (Weyl enumeration, Chevalley table, d2), must not fall back on rational
+    # (Weyl enumeration, Chevalley root data, d2), must not fall back on rational
     # arithmetic; the rational reference lives in tests/rational_reference.py.
     # d2 reads the roots' coordinates in theta, not tau's rational solve.
     banned = {

@@ -13,6 +13,8 @@ from conftest import (
     lex_least_words,
     reference_bidegree_ranks,
     reference_cells,
+    reference_coroot_pairings,
+    reference_covers,
     reference_d2,
 )
 from rational_reference import coroot_pairing, root_coordinates
@@ -59,7 +61,7 @@ class TestWeylGroup:
     def test_g2(self):
         w = cached_weyl_group("G2")
         assert len(w) == 12
-        assert w.top_length == 6
+        assert len(w.levels) - 1 == 6
 
     def test_canonical_words_are_lex_least(self):
         w = cached_weyl_group("A2")
@@ -80,7 +82,7 @@ class TestWeylGroup:
     def test_top_length_is_positive_root_count(self):
         for name in ("A3", "B3", "G2"):
             w = cached_weyl_group(name)
-            assert w.top_length == w.root_system.lie_type.root_count // 2
+            assert len(w.levels) - 1 == w.root_system.lie_type.root_count // 2
 
     @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "C3"])
     def test_words_are_first_in_shortlex_order(self, name):
@@ -88,7 +90,8 @@ class TestWeylGroup:
         # enumeration, and it names every element by its key.
         w = cached_weyl_group(name)
         words = lex_least_words(w)
-        assert [w.length(k) for k in range(len(w))] == [len(u) for u in words]
+        lengths = [l for l, level in enumerate(w.levels) for _ in level]
+        assert lengths == [len(u) for u in words]
         keys = [(len(u), u) for u in words]
         assert keys == sorted(keys)
 
@@ -218,6 +221,41 @@ class TestChevalley:
                     assert len(words[target]) == len(words[e]) + 1
 
 
+# Every type whose whole Weyl group is under the default size cap.
+SMALL_TYPES = [
+    "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C2", "C3", "C4",
+    "D3", "D4", "D5", "F4", "G2",
+]
+
+
+class TestCovers:
+    @pytest.mark.parametrize("max_length", [None, 0, 1, 2, 3])
+    @pytest.mark.parametrize("name", SMALL_TYPES)
+    def test_covers_match_reference(self, name, max_length):
+        rs = cached_root_system(name)
+        if max_length is None:
+            w = cached_weyl_group(name)
+        else:
+            w = weyl_group(rs, max_length=max_length)
+        assert set(w.roots) == set(reference_coroot_pairings(rs))
+        got = {
+            w_idx: tuple((w.roots[k], target) for k, target in covers)
+            for w_idx, covers in enumerate(w.covers)
+        }
+        assert got == reference_covers(w)
+        if w.max_length is None:
+            return
+        # The top level of a truncated group has no covers to multiply by.
+        want = (
+            f"sigma_w with l(w) = {max_length} times a degree-2 class "
+            f"leaves the group truncated at length {max_length}"
+        )
+        for w_idx in w.levels[max_length]:
+            with pytest.raises(ValueError) as refused:
+                chevalley_multiply(w, 1, w_idx)
+            assert str(refused.value) == want
+
+
 # <alpha_i, alpha_j^vee> for the usual roots, Bourbaki numbering (Plates II,
 # III, IX): B2 has alpha_1 long, C2 and G2 have alpha_1 short.
 BOURBAKI_PAIRINGS = {
@@ -260,12 +298,12 @@ class TestE2Page:
         page = build_e2(g)
         assert set(page.cells) == {(0, 0), (0, 1), (2, 0), (2, 1)}
         assert all(len(b) == 1 for b in page.cells.values())
-        assert dense_rows(page.d2[(0, 1)], page.cell_dim(2, 0)) == ((1,),)
+        assert dense_rows(page.d2[(0, 1)], len(page.cells[(2, 0)])) == ((1,),)
 
     def test_psu2_d2_is_multiplication_by_two(self):
         g = adjoint_spec(cached_root_system("A1"))
         page = build_e2(g)
-        assert dense_rows(page.d2[(0, 1)], page.cell_dim(2, 0)) == ((2,),)
+        assert dense_rows(page.d2[(0, 1)], len(page.cells[(2, 0)])) == ((2,),)
 
     def test_total_dimension(self):
         for name in ("A2", "C2"):
@@ -350,7 +388,7 @@ class TestE2Page:
         # tau-based sum over l of tau[g][l] times beta_k's l-th simple-root
         # coordinate.
         rs = cached_root_system(name)
-        table = weyl_group(rs, max_length=0).chevalley_table
+        weyl = weyl_group(rs, max_length=0)
         forms = [adjoint_spec(rs)] + [
             group_spec(rs, sub.generators)
             for sub in enumerate_pi1_choices(center_group(rs))
@@ -359,9 +397,9 @@ class TestE2Page:
             tau = transgression_matrix(g).matrix
             want = tuple(
                 tuple(sum(t * c for t, c in zip(tau_g, coeffs)) for tau_g in tau)
-                for coeffs in table.coefficients
+                for coeffs in weyl.coefficients
             )
-            assert spectral.theta_coordinates(g, table) == want, g.pi1_generators
+            assert spectral.theta_coordinates(g, weyl) == want, g.pi1_generators
 
     def test_cap_refusal_comes_before_lattice_work(self, monkeypatch):
         # A7 has 40320 Weyl elements; the refusal must not wait for theta.
@@ -384,8 +422,8 @@ class TestE2Page:
         page = build_e2(parse_group_spec(spec), coefficients=p)
         assert page.d2
         for (s, t), m in page.d2.items():
-            assert len(m) == page.cell_dim(s, t)
-            width = page.cell_dim(s + 2, t - 1)
+            assert len(m) == len(page.cells[(s, t)])
+            width = len(page.cells.get((s + 2, t - 1), ()))
             for row in m:
                 assert isinstance(row, dict)
                 assert all(x != 0 for x in row.values())
@@ -538,7 +576,7 @@ class TestTruncation:
         full_words = lex_least_words(full)
         rs = full.root_system
         groups = [full]
-        for length in range(full.top_length + 1):
+        for length in range(len(full.levels)):
             w = weyl_group(rs, max_length=length)
             groups.append(w)
             want = [k for k, u in enumerate(full_words) if len(u) <= length]
@@ -549,14 +587,14 @@ class TestTruncation:
             words = lex_least_words(w)
             assert [i for level in w.levels for i in level] == list(range(len(w)))
             for l, level in enumerate(w.levels):
-                assert all(len(words[i]) == w.length(i) == l for i in level)
+                assert all(len(words[i]) == l for i in level)
 
     def test_degree_table_counts_match_enumeration(self):
         small = [
             name for name in ALL_TYPES
             if math.prod(invariant_degrees(cached_root_system(name).lie_type)) <= 2000
         ]
-        assert len(small) == 16
+        assert small == SMALL_TYPES
         for name in small:
             counts = length_counts(cached_weyl_group(name))
             t = cached_root_system(name).lie_type
@@ -620,14 +658,14 @@ class TestTruncation:
 
 @pytest.mark.parametrize("name", ALL_TYPES)
 def test_chevalley_root_data_against_fraction_path(name):
-    # The table's integer root data against the rational reference path:
+    # The group's integer root data against the rational reference path:
     # simple-root coordinates by solve_rational, coroot pairings by the
     # Gram matrix.
     rs = cached_root_system(name)
-    table = weyl_group(rs, max_length=0).chevalley_table
+    w = weyl_group(rs, max_length=0)
     n = rs.rank
     unit = [tuple(int(j == k) for j in range(n)) for k in range(n)]
-    assert len(table.roots) == rs.lie_type.root_count // 2
-    for beta, m, c in zip(table.roots, table.coefficients, table.coroots):
+    assert len(w.roots) == rs.lie_type.root_count // 2
+    for beta, m, c in zip(w.roots, w.coefficients, w.coroots):
         assert m == root_coordinates(rs, beta)
         assert c == tuple(coroot_pairing(rs, e, beta) for e in unit)
