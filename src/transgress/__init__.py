@@ -2,11 +2,9 @@
 groups, with the induced d2 and E3 page of the fibration G -> G/T."""
 
 from .exactlin import (
-    ModPSubspace,
     hermite_normal_form,
     invariant_factors,
-    modp_cokernel,
-    modp_kernel,
+    modp_kernel_cokernel,
     solve_rational,
 )
 from .groupspec import GroupSpecParseError, parse_group_spec

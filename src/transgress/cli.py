@@ -133,11 +133,11 @@ def cmd_tau(args, out) -> int:
             "is_isomorphism": analysis.is_isomorphism,
             "kernel": [
                 {"coeffs": list(v), "label": format_combination(v, "t")}
-                for v in analysis.kernel.basis
+                for v in analysis.kernel
             ],
             "cokernel": [
                 {"coeffs": list(v), "label": format_combination(v, "omega")}
-                for v in analysis.cokernel.basis
+                for v in analysis.cokernel
             ],
         }
     doc = _document("tau", canonical_spec_string(g), payload)

@@ -9,18 +9,18 @@ machine words, which is why arbitrary precision is non-negotiable.
 
 hermite_normal_form is the one integer normal-form loop: invariant_factors
 reads the Smith diagonal off alternating Hermite forms of a matrix and its
-transpose.  echelon is the one elimination loop for ranks over Q and Z/p and
-for the mod-p kernels and cokernels.  det is a fraction-free Bareiss loop
-over ints, and solve_rational is the one dense Fraction elimination.
-echelon's result is keyed by leading column, and spectral.e3_ranks reads
-those keys: the leading columns of the d2 block into a bidegree name the rows
-that the block out of it need not be ranked on.
+transpose.  echelon is the one elimination loop for ranks over Q and Z/p,
+and the mod-p kernel and cokernel are read off one echelon run.  det is a
+fraction-free Bareiss loop over ints, and solve_rational is the one dense
+Fraction elimination.  echelon's result is keyed by leading column, and
+spectral.e3_ranks reads those keys: the leading columns of the d2 block into
+a bidegree name the rows that the block out of it need not be ranked on.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -201,23 +201,6 @@ def solve_integral(m: Matrix, b: Matrix) -> Matrix:
 # Mod-p linear algebra
 # ---------------------------------------------------------------------------
 
-class ModPSubspace(NamedTuple):
-    """A subspace of (Z_p)^n given by a reduced-echelon basis."""
-
-    p: int
-    ambient_dim: int
-    basis: tuple[Vector, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def contains(self, vec: Vector) -> bool:
-        if len(vec) != self.ambient_dim:
-            raise ValueError("vector has wrong dimension")
-        return rank(self.basis + (vec,), self.p) == self.dim
-
-
 # The first 13 primes as Miller-Rabin bases decide primality exactly below
 # this bound (Sorenson and Webster, Math. Comp. 86, 2017).
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -254,11 +237,6 @@ def is_prime(p: int) -> bool:
         else:
             return False
     return True
-
-
-def _require_prime(p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
 
 
 def _normalize(v: dict[int, int], col: int, p: int | None) -> dict[int, int]:
@@ -346,35 +324,30 @@ def _reduce(pivots: dict[int, dict[int, int]], p: int) -> dict[int, dict[int, in
     return pivots
 
 
-def _dense(pivots: dict[int, dict[int, int]], n_cols: int) -> tuple[Vector, ...]:
-    return tuple(
-        tuple(row.get(j, 0) for j in range(n_cols)) for _, row in sorted(pivots.items())
-    )
+def modp_kernel_cokernel(
+    m: Matrix, p: int
+) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
+    """Kernel of M mod p (column-vector convention: M v = 0) and
+    representatives of (Z_p)^rows modulo the column space of M, from one
+    echelon run.
 
-
-def modp_kernel(m: Matrix, p: int) -> ModPSubspace:
-    """Null space of M mod p (column-vector convention: M v = 0)."""
-    _require_prime(p)
-    c = dims(m)[1]
-    rows = _reduce(echelon(m, p), p)
-    basis = [
-        {f: 1, **{piv: -row[f] % p for piv, row in rows.items() if f in row}}
-        for f in range(c)
-        if f not in rows
-    ]
-    basis = _dense(_reduce(echelon(basis, p), p), c)
-    return ModPSubspace(p=p, ambient_dim=c, basis=basis)
-
-
-def modp_cokernel(m: Matrix, p: int) -> ModPSubspace:
-    """(Z_p)^rows modulo the column space of M, via canonical representatives.
-
-    The representatives are the standard basis vectors at the coordinates
-    that lead no row of an echelon form of the column space; that set of
-    coordinates depends only on the column space.
+    The rows [column j of M | e_j] span the graph {(M x, x)}.  The pivot rows
+    that lead past M's part are zero on it, so their e part spans the kernel;
+    reduced, they give its unique reduced-echelon basis.  The other leading
+    columns are those of the column space of M, so the unit vectors at the
+    coordinates that lead no row are canonical cokernel representatives.
     """
-    _require_prime(p)
-    r = len(m)
-    pivots = echelon(transpose(m), p)
-    reps = tuple(e for j, e in enumerate(identity(r)) if j not in pivots)
-    return ModPSubspace(p=p, ambient_dim=r, basis=reps)
+    if not is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
+    r, c = dims(m)
+    pivots = echelon(
+        ({**dict(enumerate(col)), r + j: 1} for j, col in enumerate(transpose(m))), p
+    )
+    kernel = _reduce({col: row for col, row in pivots.items() if col >= r}, p)
+    return (
+        tuple(
+            tuple(row.get(r + j, 0) for j in range(c))
+            for _, row in sorted(kernel.items())
+        ),
+        tuple(e for j, e in enumerate(identity(r)) if j not in pivots),
+    )

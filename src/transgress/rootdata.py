@@ -9,8 +9,10 @@ weight basis, in which simple root i is row i of the Cartan matrix and the
 weight lattice is all of Z^n.
 
 A RootSystem holds only the type, the Cartan matrix and the simple roots.
-positive_roots is the one search over the roots; it runs where the
-Chevalley rule needs them and checks their count against dim G.
+invariant_degrees is the one table of counts: the number of roots and dim G
+are read off it.  positive_roots is the one search over the roots; it runs
+where the Chevalley rule needs them and checks their count against that
+table.
 """
 
 from __future__ import annotations
@@ -35,17 +37,6 @@ _RANK_CONSTRAINTS = {
     "E": (6, 8),
     "F": (4, 4),
     "G": (2, 2),
-}
-
-# Number of roots |Phi| by type, from dim G = |Phi| + rank.
-_ROOT_COUNTS = {
-    "A": lambda n: n * (n + 1),
-    "B": lambda n: 2 * n * n,
-    "C": lambda n: 2 * n * n,
-    "D": lambda n: 2 * n * (n - 1),
-    "E": lambda n: {6: 72, 7: 126, 8: 240}[n],
-    "F": lambda n: 48,
-    "G": lambda n: 12,
 }
 
 
@@ -74,11 +65,30 @@ class LieType(_LieTypeFields):
 
     @property
     def root_count(self) -> int:
-        return _ROOT_COUNTS[self.family](self.rank)
+        """|Phi|: each invariant of degree d adds d - 1 positive roots."""
+        return 2 * sum(d - 1 for d in invariant_degrees(self))
 
     @property
     def dim_group(self) -> int:
         return self.root_count + self.rank
+
+
+def invariant_degrees(t: LieType) -> tuple[int, ...]:
+    """Degrees of the basic Weyl-group invariants (Bourbaki, Plates I-IX)."""
+    n = t.rank
+    if t.family == "A":
+        return tuple(range(2, n + 2))
+    if t.family in "BC":
+        return tuple(range(2, 2 * n + 1, 2))
+    if t.family == "D":
+        return tuple(sorted([*range(2, 2 * n - 1, 2), n]))
+    return {
+        "E6": (2, 5, 6, 8, 9, 12),
+        "E7": (2, 6, 8, 10, 12, 14, 18),
+        "E8": (2, 8, 12, 14, 18, 20, 24, 30),
+        "F4": (2, 6, 8, 12),
+        "G2": (2, 6),
+    }[str(t)]
 
 
 def standard_cartan(t: LieType) -> Matrix:

@@ -29,7 +29,7 @@ from typing import NamedTuple
 from . import exactlin, lattices
 from .exactlin import Vector
 from .lattices import GroupSpec
-from .rootdata import LieType, RootSystem, positive_roots
+from .rootdata import LieType, RootSystem, invariant_degrees, positive_roots
 
 DEFAULT_WEYL_CAP = 2000
 
@@ -47,24 +47,6 @@ class WeylCapExceededError(RuntimeError):
         super().__init__(
             f"Weyl group of {lie_type} has {order} {what}, above the cap {cap}"
         )
-
-
-def invariant_degrees(t: LieType) -> tuple[int, ...]:
-    """Degrees of the basic Weyl-group invariants (Bourbaki, Plates I-IX)."""
-    n = t.rank
-    if t.family == "A":
-        return tuple(range(2, n + 2))
-    if t.family in "BC":
-        return tuple(range(2, 2 * n + 1, 2))
-    if t.family == "D":
-        return tuple(sorted([*range(2, 2 * n - 1, 2), n]))
-    return {
-        "E6": (2, 5, 6, 8, 9, 12),
-        "E7": (2, 6, 8, 10, 12, 14, 18),
-        "E8": (2, 8, 12, 14, 18, 20, 24, 30),
-        "F4": (2, 6, 8, 12),
-        "G2": (2, 6),
-    }[str(t)]
 
 
 def length_count(t: LieType, max_length: int | None = None) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import exactlin, lattices
-from .exactlin import Matrix, ModPSubspace, Vector, det, transpose
+from .exactlin import Matrix, Vector, det, transpose
 from .lattices import GroupSpec
 
 
@@ -38,17 +38,19 @@ def transgression_matrix(g: GroupSpec) -> TransgressionMap:
 class ModPAnalysis(NamedTuple):
     p: int
     matrix: Matrix
-    kernel: ModPSubspace  # vectors in the t basis
-    cokernel: ModPSubspace  # coset representatives in the omega basis
+    kernel: tuple[Vector, ...]  # reduced-echelon basis in the t basis
+    cokernel: tuple[Vector, ...]  # coset representatives in the omega basis
     is_isomorphism: bool
 
     def kernel_contains(self, coeffs: Vector) -> bool:
         """Is the combination sum coeffs[i] * t_{i+1} in the kernel?"""
-        return self.kernel.contains(coeffs)
+        if len(coeffs) != len(self.matrix):
+            raise ValueError("vector has wrong dimension")
+        return exactlin.rank(self.kernel + (coeffs,), self.p) == len(self.kernel)
 
     def cokernel_class_is_nonzero(self, coeffs: Vector) -> bool:
         """Is the class of sum coeffs[j] * omega_{j+1} nonzero in the cokernel?"""
-        if len(coeffs) != self.cokernel.ambient_dim:
+        if len(coeffs) != len(self.matrix):
             raise ValueError("vector has wrong dimension")
         rows = self.matrix + (tuple(coeffs),)
         return exactlin.rank(rows, self.p) > exactlin.rank(self.matrix, self.p)
@@ -59,14 +61,13 @@ def modp_analysis(g: GroupSpec, p: int) -> ModPAnalysis:
     m = tau.matrix
     # A combination c of the t_i dies iff c @ m = 0, i.e. m^T c = 0; the
     # cokernel lives in the omega side modulo the row space of m.
-    kernel = exactlin.modp_kernel(transpose(m), p)
-    cokernel = exactlin.modp_cokernel(transpose(m), p)
+    kernel, cokernel = exactlin.modp_kernel_cokernel(transpose(m), p)
     return ModPAnalysis(
         p=p,
         matrix=m,
         kernel=kernel,
         cokernel=cokernel,
-        is_isomorphism=kernel.dim == 0 and cokernel.dim == 0,
+        is_isomorphism=not kernel and not cokernel,
     )
 
 

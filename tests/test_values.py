@@ -16,7 +16,6 @@ from transgress import (
     enumerate_pi1_choices,
     group_spec,
     modp_analysis,
-    modp_kernel,
     parse_group_spec,
     transgression_matrix,
 )
@@ -28,7 +27,6 @@ def _values():
     g = parse_group_spec("A2:adj")
     page = build_e2(g, coefficients=3)
     return [
-        modp_kernel(((1, 1),), 2),
         FixtureResult("name", True, ""),
         center_group(rs),
         enumerate_pi1_choices(center_group(rs))[-1],
