@@ -29,14 +29,6 @@ Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
 
 
-class SingularMatrixError(ValueError):
-    """Square system has no unique solution."""
-
-
-class NonIntegralSolutionError(ValueError):
-    """A rational solution exists but is not integral where one was required."""
-
-
 def as_matrix(rows) -> Matrix:
     m = tuple(tuple(int(x) for x in row) for row in rows)
     if m and any(len(row) != len(m[0]) for row in m):
@@ -159,8 +151,8 @@ def invariant_factors(m: Matrix) -> tuple[int, ...]:
 def solve_rational(m: Matrix, b: Matrix) -> tuple[tuple[Fraction, ...], ...]:
     """Solve M @ X = B exactly for square invertible M.
 
-    Raises SingularMatrixError when M is singular; integrality of the result
-    is the caller's concern (see solve_integral).
+    Raises ValueError when M is singular; integrality of the result is the
+    caller's concern.
     """
     # Imported here: fractions loads decimal and numbers, and only the tau
     # path (lattices.transition_matrix) solves over Q.
@@ -178,7 +170,7 @@ def solve_rational(m: Matrix, b: Matrix) -> tuple[tuple[Fraction, ...], ...]:
     for col in range(n):
         pivot = next((i for i in range(col, n) if aug[i][col]), None)
         if pivot is None:
-            raise SingularMatrixError("matrix is singular")
+            raise ValueError("matrix is singular")
         aug[col], aug[pivot] = aug[pivot], aug[col]
         inv = 1 / aug[col][col]
         aug[col] = [x * inv for x in aug[col]]
@@ -187,14 +179,6 @@ def solve_rational(m: Matrix, b: Matrix) -> tuple[tuple[Fraction, ...], ...]:
                 f = aug[i][col]
                 aug[i] = [a - f * b_ for a, b_ in zip(aug[i], aug[col])]
     return tuple(tuple(aug[i][n : n + width]) for i in range(n))
-
-
-def solve_integral(m: Matrix, b: Matrix) -> Matrix:
-    """Like solve_rational but requires (and returns) an integer solution."""
-    x = solve_rational(m, b)
-    if any(entry.denominator != 1 for row in x for entry in row):
-        raise NonIntegralSolutionError("rational solution is not integral")
-    return tuple(tuple(int(entry) for entry in row) for row in x)
 
 
 # ---------------------------------------------------------------------------

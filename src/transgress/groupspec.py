@@ -22,7 +22,7 @@ class GroupSpecParseError(ValueError):
 
 
 _HEAD = re.compile(r"([A-G])([0-9]+)")
-_PI1 = re.compile(r":pi1=\[(.*)\]$")
+_PI1 = re.compile(r":pi1=\[(.*)\]")
 
 
 def parse_group_spec(text: str) -> GroupSpec:
@@ -41,16 +41,16 @@ def parse_group_spec(text: str) -> GroupSpec:
         return lattices.group_spec(rs, ())
     if rest == ":adj":
         return lattices.adjoint_spec(rs)
-    pm = _PI1.match(rest)
+    pm = _PI1.fullmatch(rest)
     if pm:
         generators = []
         body = pm.group(1)
         if body.strip():
+            offset = m.end() + pm.start(1)
             for chunk in body.split(";"):
                 try:
                     vec = tuple(int(x) for x in chunk.split(","))
                 except ValueError as exc:
-                    offset = m.end() + len(":pi1=[") + pm.group(1).find(chunk)
                     raise GroupSpecParseError(
                         f"bad integer vector {chunk!r}", offset
                     ) from exc
@@ -58,9 +58,10 @@ def parse_group_spec(text: str) -> GroupSpec:
                     raise GroupSpecParseError(
                         f"generator {chunk!r} has length {len(vec)}, "
                         f"expected rank {lie_type.rank}",
-                        m.end(),
+                        offset,
                     )
                 generators.append(vec)
+                offset += len(chunk) + 1
         return lattices.group_spec(rs, generators)
     raise GroupSpecParseError(
         f"expected ':sc', ':adj' or ':pi1=[...]', got {rest!r}", m.end()

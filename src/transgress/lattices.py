@@ -235,13 +235,12 @@ def transition_matrix(g: GroupSpec) -> Matrix:
     theta = unit_lattice_basis(g)
     rs = g.root_system
     # C @ theta = cartan  <=>  theta^T @ C^T = cartan^T
-    try:
-        c_t = exactlin.solve_integral(transpose(theta), transpose(rs.cartan))
-    except exactlin.NonIntegralSolutionError as exc:
+    c_t = exactlin.solve_rational(transpose(theta), transpose(rs.cartan))
+    if any(x.denominator != 1 for row in c_t for x in row):
         raise LatticeConsistencyError(
             "simple roots are not integral in the unit lattice basis"
-        ) from exc
-    c = transpose(c_t)
+        )
+    c = as_matrix(transpose(c_t))
     expected = pi1_order(g)
     if abs(det(c)) != expected:
         raise LatticeConsistencyError(

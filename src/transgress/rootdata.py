@@ -17,6 +17,7 @@ table.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import NamedTuple
 
 from .exactlin import Matrix, Vector, as_matrix, transpose
@@ -25,8 +26,8 @@ FAMILIES = "ABCDEFG"
 
 # Rank ceiling for families A-D, checked when a `LieType` is made, before
 # anything is built.  Timed on a 2-core Xeon: `e3 D32 --max-degree 3` takes
-# 1.0 s; with the ceiling lifted, `e3 A40 --max-degree 3` takes 1.7 s,
-# `describe A40` 0.17 s and `describe A160` 1.7 s.
+# 0.3-0.5 s and 21 MB; with the ceiling lifted, `e3 A40 --max-degree 3` takes
+# 0.4 s, `describe A40` 0.14 s and `describe A160` 0.75 s.
 MAX_RANK = 32
 
 _RANK_CONSTRAINTS = {
@@ -162,28 +163,36 @@ def build_root_system(t: LieType) -> RootSystem:
     return RootSystem(lie_type=t, cartan=cartan)
 
 
-def positive_roots(rs: RootSystem) -> tuple[Vector, ...]:
-    """The positive half of the root system, sorted by (height, coordinates).
+def positive_roots(rs: RootSystem) -> dict[Vector, tuple[Vector, Vector]]:
+    """The positive half of the root system, sorted by (height, coordinates):
+    each root beta mapped to (its coordinates m in the simple roots, its
+    coroot pairings c = 2(e_i, beta)/(beta, beta)).  The height is sum(m).
 
     One integer search up from the simple roots: for a positive root beta
     with beta_i = <beta, alpha_i^vee> < 0, s_i(beta) = beta - beta_i alpha_i is
     positive and higher by -beta_i, and every positive root is reached so.
+    s_i maps m to m - beta_i e_i, and c to c - (alpha_i . c) e_i.
     """
-    height = {alpha: 1 for alpha in rs.simple_roots}
+    n = rs.rank
+    unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    data = {alpha: (e, e) for alpha, e in zip(rs.simple_roots, unit)}
     frontier = list(rs.simple_roots)
     while frontier:
         new = []
         for beta in frontier:
-            for alpha, b in zip(rs.simple_roots, beta):
+            for i, (alpha, b) in enumerate(zip(rs.simple_roots, beta)):
                 if b < 0:
                     up = tuple(x - b * a for x, a in zip(beta, alpha))
-                    if up not in height:
-                        height[up] = height[beta] - b
+                    if up not in data:
+                        m, c = map(list, data[beta])
+                        m[i] -= b
+                        c[i] -= sum(map(mul, alpha, c))
+                        data[up] = (tuple(m), tuple(c))
                         new.append(up)
         frontier = new
-    if 2 * len(height) != rs.lie_type.root_count:
+    if 2 * len(data) != rs.lie_type.root_count:
         raise AssertionError(
-            f"{rs.lie_type}: found {len(height)} positive roots, "
+            f"{rs.lie_type}: found {len(data)} positive roots, "
             f"expected {rs.lie_type.root_count // 2}"
         )
-    return tuple(sorted(height, key=lambda v: (height[v], v)))
+    return {v: data[v] for v in sorted(data, key=lambda v: (sum(data[v][0]), v))}

@@ -23,6 +23,7 @@ build_e2 checks that p is prime, before any Weyl or lattice work.
 from __future__ import annotations
 
 import itertools
+import math
 from operator import mul
 from typing import NamedTuple
 
@@ -129,25 +130,10 @@ class WeylGroup:
         self.index = index = {u: k for k, u in enumerate(self.elements)}
         self.levels = tuple(levels)
 
-        self.roots = positive_roots(rs)
-        # Up by height from the simple roots: a positive root beta that is not
-        # simple has some beta_i > 0, and then beta = s_i(gamma) for the lower
-        # root gamma = beta - beta_i alpha_i.  s_i maps the simple-root
-        # coordinates m to m - gamma_i e_i = m + beta_i e_i, and the coroot
-        # coordinates c to c - (alpha_i . c) e_i.
-        unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-        data = {alpha: (unit[i], unit[i]) for i, alpha in enumerate(rs.simple_roots)}
-        for beta in self.roots:
-            if beta in data:
-                continue
-            i, b = next((i, b) for i, b in enumerate(beta) if b > 0)
-            alpha = rs.simple_roots[i]
-            m, c = map(list, data[tuple(x - b * a for x, a in zip(beta, alpha))])
-            m[i] += b
-            c[i] -= sum(a * x for a, x in zip(alpha, c))
-            data[beta] = (tuple(m), tuple(c))
-        self.coefficients = tuple(data[b][0] for b in self.roots)
-        self.coroots = tuple(data[b][1] for b in self.roots)
+        roots = positive_roots(rs)
+        self.roots = tuple(roots)
+        self.coefficients = tuple(m for m, _ in roots.values())
+        self.coroots = tuple(c for _, c in roots.values())
 
         # The top element of the whole group is longer than every w s_beta,
         # so it finds no cover and needs no level above it.
@@ -274,29 +260,28 @@ def build_e2(
     # The Weyl group checks its size cap here, before any lattice work.
     weyl = weyl_group(rs, size_cap, (max_total_degree + 1) // 2)
 
-    # subsets[t]: the t-element subsets J of 1..n in lex order, and rank_of[t]
-    # their places in it.  faces[t][r] lists, for the r-th subset J and each
-    # J_j in it, (J_j - 1, Koszul sign (-1)^(j-1), rank of J minus J_j).
-    subsets = [
-        tuple(itertools.combinations(range(1, n + 1), t)) for t in range(n + 1)
-    ]
-    rank_of = [{mono: r for r, mono in enumerate(monos)} for monos in subsets]
-    faces = [()] + [
-        tuple(
+    # faces[t][r] lists, for the r-th t-subset J of 1..n in lex order and
+    # each J_j in it, (J_j - 1, Koszul sign (-1)^(j-1), rank of J minus J_j).
+    # A d2 block leaves (s, t) with s + t <= max_total_degree, so no larger t
+    # is read.
+    faces = [()]
+    rank_of = {(): 0}
+    for t in range(1, min(n, max_total_degree) + 1):
+        monos = tuple(itertools.combinations(range(1, n + 1), t))
+        faces.append(tuple(
             tuple(
-                (gen - 1, -1 if j % 2 else 1, rank_of[t - 1][mono[:j] + mono[j + 1 :]])
+                (gen - 1, -1 if j % 2 else 1, rank_of[mono[:j] + mono[j + 1 :]])
                 for j, gen in enumerate(mono)
             )
-            for mono in subsets[t]
-        )
-        for t in range(1, n + 1)
-    ]
+            for mono in monos
+        ))
+        rank_of = {mono: r for r, mono in enumerate(monos)}
 
     # Cells one degree past the cutoff so every outgoing d2 has its target.
     # A cell (w, J) of (2 l(w), |J|) sits at
     # (w - weyl.levels[l(w)].start) * C(n, |J|) + rank(J).
     cells = {
-        (2 * length, t): range(len(level) * len(subsets[t]))
+        (2 * length, t): range(len(level) * math.comb(n, t))
         for length, level in enumerate(weyl.levels)
         for t in range(n + 1)
         if 2 * length + t <= max_total_degree + 1
@@ -308,7 +293,7 @@ def build_e2(
     def d2_matrix(s: int, t: int) -> tuple[dict[int, int], ...]:
         # Covers of w have distinct targets and the faces of J are distinct,
         # so no two terms of a row share a column.
-        width = len(subsets[t - 1])
+        width = math.comb(n, t - 1)
         # Covers have length l + 1, whose level starts where level l stops.
         level = weyl.levels[s // 2]
         rows = []

@@ -3,7 +3,8 @@
 The package works with integer root data throughout.  This module keeps the
 rational path it replaced: the Gram matrix of the fundamental weights and the
 inner products, coroot pairings and simple-root coordinates read from it,
-over `Fraction`.  Tests compare the integer data against these.
+over `Fraction`, and an integral solve over Q.  Tests compare the integer
+data against these.
 """
 
 import functools
@@ -63,3 +64,12 @@ def root_coordinates(rs: RootSystem, v: Vector) -> tuple[Fraction, ...]:
     """Coordinates of v in the simple-root basis."""
     col = solve_rational(transpose(rs.cartan), tuple((x,) for x in v))
     return tuple(row[0] for row in col)
+
+
+def solve_integral(m: Matrix, b: Matrix) -> Matrix:
+    """The integer X with M @ X = B, by solve_rational; raises ValueError when
+    the solution is not integral."""
+    x = solve_rational(m, b)
+    if any(entry.denominator != 1 for row in x for entry in row):
+        raise ValueError("rational solution is not integral")
+    return tuple(tuple(int(entry) for entry in row) for row in x)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -50,6 +51,27 @@ class TestSpecParsing:
     def test_wrong_length_generator_rejected(self):
         with pytest.raises((GroupSpecParseError, ValueError)):
             parse_group_spec("A3:pi1=[1,0]")
+
+    @pytest.mark.parametrize("spec,offset", [
+        # The offset is where the bad generator starts, not where its text
+        # first occurs in the list.
+        ("A2:pi1=[1,1;]", 12),
+        ("A2:pi1=[1,1;1,]", 12),
+        ("A2:pi1=[1,x]", 8),
+        ("A2:pi1=[1,1;0,0;x]", 16),
+        ("A3:pi1=[1,0]", 8),
+        ("A3:pi1=[1,0,0;1,0]", 14),
+    ])
+    def test_bad_generator_reports_its_offset(self, spec, offset):
+        with pytest.raises(GroupSpecParseError) as exc:
+            parse_group_spec(spec)
+        assert exc.value.position == offset
+
+    @pytest.mark.parametrize("spec", ["A2:pi1=[1,1]\n", "A2:sc\n", "A2:adj\n", "A2\n"])
+    def test_trailing_newline_rejected(self, spec):
+        with pytest.raises(GroupSpecParseError) as exc:
+            parse_group_spec(spec)
+        assert exc.value.position == 2
 
 
 class TestDescribe:
@@ -310,11 +332,11 @@ class TestFixturesCommand:
         assert str(tmp_path) in err
 
 
-def spawn_cli(argv, stdout, unbuffered=None):
+def spawn_cli(argv, stdout, unbuffered=None, preexec_fn=None):
     """Run `python -m transgress.cli argv` in a fresh interpreter with the
     given stdout; stderr is captured.  unbuffered=True or False runs the
     child with an unbuffered or a block-buffered stdout, and None inherits
-    the setting."""
+    the setting.  preexec_fn runs in the child before the interpreter."""
     package_root = str(Path(transgress.__file__).resolve().parent.parent)
     paths = [package_root, os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
@@ -323,6 +345,7 @@ def spawn_cli(argv, stdout, unbuffered=None):
     return subprocess.run(
         [sys.executable, *["-u"] * bool(unbuffered), "-m", "transgress.cli", *argv],
         stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -398,6 +421,24 @@ class TestParseErrorsAtCli:
         assert code == 2
         assert out == ""
         assert f"[1, {rootdata.MAX_RANK}]" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["e3", "D32", "--max-degree", "3"],
+    ["e3", "A32", "--coeff", "2", "--max-degree", "4"],
+    ["e3", "B20", "--max-degree", "5"],
+])
+def test_high_rank_low_degree_pages_fit_in_one_gib(argv):
+    # H*(G) is exterior on generators of degrees 2d - 1, d an invariant
+    # degree; the second is 5 or 7 here, and A_n has no torsion.  The page
+    # tabulates exterior degrees only up to its own degree, so a rank-32
+    # group answers within 1 GiB of address space.
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = spawn_cli(argv, subprocess.PIPE, preexec_fn=limit)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.splitlines()[-1] == b"E3 ranks by total degree: 1 + q^3"
 
 
 # sha256 of the stdout of each call, recorded before the mod-p eliminator and

@@ -13,10 +13,9 @@ from conftest import (
     leibniz_det,
     minor_gcd,
 )
+from rational_reference import solve_integral
 from transgress import exactlin
 from transgress.exactlin import (
-    NonIntegralSolutionError,
-    SingularMatrixError,
     as_matrix,
     det,
     MILLER_RABIN_BOUND,
@@ -26,7 +25,6 @@ from transgress.exactlin import (
     is_prime,
     modp_kernel_cokernel,
     rank,
-    solve_integral,
     solve_rational,
     transpose,
 )
@@ -183,9 +181,13 @@ class TestSolve:
         )
 
     def test_singular_distinct_from_nonintegral(self):
-        with pytest.raises(SingularMatrixError):
+        # solve_rational refuses a singular matrix; a non-integral solution is
+        # refused only by the integral oracle of the tests.
+        with pytest.raises(ValueError, match="singular"):
             solve_rational([[1, 1], [1, 1]], identity(2))
-        with pytest.raises(NonIntegralSolutionError):
+        with pytest.raises(ValueError, match="singular"):
+            solve_rational([[0]], [[1]])
+        with pytest.raises(ValueError, match="not integral"):
             solve_integral([[2]], [[3]])
 
 

@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from conftest import ALL_TYPES, cached_root_system
-from transgress import exactlin
+from rational_reference import solve_integral
+from transgress import exactlin, lattices
 from transgress import (
     adjoint_spec,
     center_group,
@@ -18,7 +19,6 @@ from transgress.exactlin import (
     det,
     hermite_normal_form,
     identity,
-    solve_integral,
     transpose,
 )
 from transgress.lattices import (
@@ -172,6 +172,13 @@ class TestTransitionMatrix:
             index = abs(det(rs.cartan)) // abs(det(theta))
             assert abs(det(c)) == index == sub.order
             assert (c == identity(rs.rank)) == (sub.order == 1)
+
+    def test_non_integral_simple_root_is_a_consistency_error(self, monkeypatch):
+        # theta = (4) for A1: the simple root (2) is 1/2 of it.
+        g = group_spec(cached_root_system("A1"), ())
+        monkeypatch.setattr(lattices, "unit_lattice_basis", lambda g: ((4,),))
+        with pytest.raises(LatticeConsistencyError, match="not integral"):
+            transition_matrix(g)
 
     def test_row_lattice_sandwich(self):
         rs = cached_root_system("D5")

@@ -7,8 +7,9 @@ from conftest import (
     cached_root_system,
     generate_all_roots,
     positive_and_negative_roots,
+    reference_coroot_pairings,
 )
-from rational_reference import coroot_pairing, inner
+from rational_reference import coroot_pairing, inner, root_coordinates
 from transgress import LieType, RootSystem, build_root_system
 from transgress.exactlin import as_matrix, det, transpose
 from transgress.rootdata import MAX_RANK, positive_roots, standard_cartan
@@ -171,6 +172,21 @@ class TestRootGeneration:
         assert frozenset(roots) == positive_and_negative_roots(rs)
         regenerated = generate_all_roots(rs.cartan, rs.simple_roots)
         assert regenerated == frozenset(roots)
+
+    @pytest.mark.parametrize("name", ALL_TYPES)
+    def test_positive_roots_against_the_rational_reference(self, name):
+        # Each root's simple-root coordinates and coroot pairings, carried
+        # along the search, against the Fraction path; the roots in order of
+        # height, then coordinates.
+        rs = cached_root_system(name)
+        n = rs.rank
+        unit = [tuple(int(j == k) for j in range(n)) for k in range(n)]
+        roots = positive_roots(rs)
+        assert set(roots) == set(reference_coroot_pairings(rs))
+        for beta, (m, c) in roots.items():
+            assert m == root_coordinates(rs, beta)
+            assert c == tuple(coroot_pairing(rs, e, beta) for e in unit)
+        assert list(roots) == sorted(roots, key=lambda v: (sum(roots[v][0]), v))
 
     def test_positive_roots_checks_the_count(self):
         # The B2 Cartan matrix under the A2 label: the search finds 4 positive

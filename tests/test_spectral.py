@@ -306,6 +306,21 @@ class TestE2Page:
         page = build_e2(g)
         assert dense_rows(page.d2[(0, 1)], len(page.cells[(2, 0)])) == ((2,),)
 
+    def test_faces_only_to_the_page_degree(self, monkeypatch):
+        # A d2 block leaves (s, t) with s + t <= the page's degree, so no
+        # exterior degree above it is tabulated.
+        sizes = []
+        combinations = spectral.itertools.combinations
+
+        def recording(pool, r):
+            sizes.append(r)
+            return combinations(pool, r)
+
+        monkeypatch.setattr(spectral.itertools, "combinations", recording)
+        page = build_e2(group_spec(cached_root_system("A12"), ()), None, 2)
+        assert sizes and max(sizes) <= 2
+        assert len(page.cells[(0, 3)]) == math.comb(12, 3)
+
     def test_total_dimension(self):
         for name in ("A2", "C2"):
             g = group_spec(cached_root_system(name), ())
