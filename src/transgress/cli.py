@@ -73,7 +73,6 @@ def cmd_describe(args, out) -> int:
     g = parse_group_spec(args.spec)
     rs = g.root_system
     center = lattices.center_group(rs)
-    theta = lattices.unit_lattice_basis(g)
     n = rs.rank
     spec = canonical_spec_string(g)
     payload = {
@@ -88,9 +87,9 @@ def cmd_describe(args, out) -> int:
         "simple_roots": [list(v) for v in rs.simple_roots],
         "center_invariant_factors": list(center.invariant_factors),
         "center_order": center.order,
-        "pi1_order": lattices.pi1_order(g),
+        "pi1_order": g.pi1_order,
         "theta": _matrix_payload(
-            theta,
+            g.theta,
             [f"theta_{i}" for i in range(1, n + 1)],
             [f"phi_{j}" for j in range(1, n + 1)],
         ),

@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 
 from . import lattices, rootdata
+from .exactlin import det
 from .lattices import GroupSpec
 
 
@@ -68,15 +69,13 @@ def parse_group_spec(text: str) -> GroupSpec:
     )
 
 
-def describe_form(g: GroupSpec) -> str:
-    if g.weight_basis:
-        return "adj"
-    if lattices.is_simply_connected(g):
-        return "sc"
-    if lattices.is_adjoint(g):
-        return "adj"
-    return "pi1=[" + ";".join(",".join(map(str, v)) for v in g.pi1_generators) + "]"
-
-
 def canonical_spec_string(g: GroupSpec) -> str:
-    return f"{g.root_system.lie_type}:{describe_form(g)}"
+    if g.weight_basis:
+        form = "adj"
+    elif lattices.is_simply_connected(g):
+        form = "sc"
+    elif g.pi1_order == abs(det(g.root_system.cartan)):
+        form = "adj"
+    else:
+        form = "pi1=[" + ";".join(",".join(map(str, v)) for v in g.pi1_generators) + "]"
+    return f"{g.root_system.lie_type}:{form}"

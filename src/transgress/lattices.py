@@ -6,10 +6,12 @@ group is pinned down by a subgroup of the center (= weight/root quotient),
 given by generators; the unit lattice is the root lattice enlarged by those
 generators.  The center is known by its invariant factors (the Smith
 diagonal of the Cartan matrix), and the fundamental weights generate it.
-unit_lattice_basis returns the basis theta of the unit lattice; the
-transition matrix C expresses the simple roots in theta, and its transpose
-is the transgression matrix downstream.  hermite_coordinates writes one
-vector in a Hermite theta in integers, with no solve over Q.
+group_spec decides the lattice facts of a form once: it reduces the
+generators, counts pi1 and takes the basis theta of the unit lattice from
+unit_lattice_basis.  The transition matrix C expresses the simple roots in
+theta, and its transpose is the transgression matrix downstream.
+hermite_coordinates writes one vector in a Hermite theta in integers, with
+no solve over Q, and theta_coordinates writes the roots in theta.
 """
 
 from __future__ import annotations
@@ -145,11 +147,15 @@ class GroupSpec(NamedTuple):
     weight_basis records that the group was requested as adjoint, so the
     unit-lattice basis is taken to be the fundamental weights even when the
     center is trivial and the form coincides with the simply connected one.
+    group_spec decides theta (unit_lattice_basis) and pi1_order; the form is
+    adjoint when pi1_order is |det cartan|, the order of the center.
     """
 
     root_system: RootSystem
     pi1_generators: tuple[Vector, ...]
-    weight_basis: bool = False
+    weight_basis: bool
+    theta: Matrix
+    pi1_order: int
 
     @property
     def rank(self) -> int:
@@ -168,12 +174,16 @@ def group_spec(rs: RootSystem, generators=(), weight_basis: bool = False) -> Gro
         r = _reduce_mod_row_lattice(g, hnf)
         if any(r):
             reduced.append(r)
-    spec = GroupSpec(
-        root_system=rs, pi1_generators=tuple(reduced), weight_basis=weight_basis
-    )
-    if weight_basis and not is_adjoint(spec):
+    order = len(_closure(reduced, hnf, rs.rank))
+    if weight_basis and order != abs(det(rs.cartan)):
         raise ValueError("weight_basis requires the full center as pi1")
-    return spec
+    return GroupSpec(
+        root_system=rs,
+        pi1_generators=tuple(reduced),
+        weight_basis=weight_basis,
+        theta=unit_lattice_basis(rs, reduced, weight_basis),
+        pi1_order=order,
+    )
 
 
 def adjoint_spec(rs: RootSystem) -> GroupSpec:
@@ -181,34 +191,25 @@ def adjoint_spec(rs: RootSystem) -> GroupSpec:
     return group_spec(rs, identity(rs.rank), weight_basis=True)
 
 
-def pi1_order(g: GroupSpec) -> int:
-    hnf = exactlin.hermite_normal_form(g.root_system.cartan)
-    return len(_closure(g.pi1_generators, hnf, g.rank))
-
-
 def is_simply_connected(g: GroupSpec) -> bool:
     return not g.pi1_generators
 
 
-def is_adjoint(g: GroupSpec) -> bool:
-    return pi1_order(g) == center_group(g.root_system).order
-
-
-def unit_lattice_basis(g: GroupSpec) -> Matrix:
-    """Ordered basis theta of the unit lattice, rows in weight coordinates.
+def unit_lattice_basis(rs: RootSystem, generators, weight_basis: bool) -> Matrix:
+    """Ordered basis theta of the unit lattice, rows in weight coordinates,
+    for the reduced fundamental-group generators.
 
     Simply connected groups get the simple roots themselves, and groups
     requested as adjoint the fundamental weights (identity matrix).  Others
     get the HNF basis of the lattice spanned by the simple roots and the
     fundamental-group generators, which is the identity when they span Z^n.
     """
-    rs = g.root_system
     n = rs.rank
-    if g.weight_basis:
+    if weight_basis:
         return identity(n)
-    if is_simply_connected(g):
+    if not generators:
         return rs.cartan
-    stacked = as_matrix(list(rs.cartan) + list(g.pi1_generators))
+    stacked = as_matrix(list(rs.cartan) + list(generators))
     theta = exactlin.hermite_normal_form(stacked)[:n]
     # With n columns, rank n puts every pivot of the echelon form on the diagonal.
     if not all(theta[i][i] for i in range(n)):
@@ -230,20 +231,34 @@ def hermite_coordinates(theta: Matrix, v: Vector) -> Vector:
     return tuple(x)
 
 
+def theta_coordinates(g: GroupSpec, roots, coefficients) -> tuple[Vector, ...]:
+    """The integer coordinates in the theta of g of each positive root, given
+    in weight coordinates (roots) and in simple-root coefficients.
+
+    These are the d2 coefficients: tau(t_g) = sum_l tau[g][l] omega_l, and
+    omega_l contributes the l-th coefficient of beta_k.  tau is C^T, where the
+    simple roots are C theta, so that sum is the g-th coordinate of beta_k in
+    theta.  It is read off in the three cases of unit_lattice_basis: theta
+    is the identity, the simple roots, or a Hermite form.
+    """
+    if g.weight_basis:
+        return roots
+    if is_simply_connected(g):
+        return coefficients
+    return tuple(hermite_coordinates(g.theta, beta) for beta in roots)
+
+
 def transition_matrix(g: GroupSpec) -> Matrix:
     """The integer matrix C with (simple roots) = C @ (theta basis)."""
-    theta = unit_lattice_basis(g)
-    rs = g.root_system
     # C @ theta = cartan  <=>  theta^T @ C^T = cartan^T
-    c_t = exactlin.solve_rational(transpose(theta), transpose(rs.cartan))
+    c_t = exactlin.solve_rational(transpose(g.theta), transpose(g.root_system.cartan))
     if any(x.denominator != 1 for row in c_t for x in row):
         raise LatticeConsistencyError(
             "simple roots are not integral in the unit lattice basis"
         )
     c = as_matrix(transpose(c_t))
-    expected = pi1_order(g)
-    if abs(det(c)) != expected:
+    if abs(det(c)) != g.pi1_order:
         raise LatticeConsistencyError(
-            f"|det C| = {abs(det(c))} but the fundamental group has order {expected}"
+            f"|det C| = {abs(det(c))} but the fundamental group has order {g.pi1_order}"
         )
     return c

@@ -12,7 +12,8 @@ l fill the index range WeylGroup.levels[l].  An element is named by its index
 alone, and a cell by its position in its bidegree (see build_e2).
 
 The d2 coefficients are the coordinates of the positive roots in the basis
-theta of the unit lattice (theta_coordinates), so the page needs no tau.
+theta of the unit lattice (lattices.theta_coordinates), so the page needs
+no tau.
 A page built to dim G // 2 gives the E3 ranks in every degree by Poincare
 duality (mirror_ranks).
 
@@ -28,7 +29,6 @@ from operator import mul
 from typing import NamedTuple
 
 from . import exactlin, lattices
-from .exactlin import Vector
 from .lattices import GroupSpec
 from .rootdata import LieType, RootSystem, invariant_degrees, positive_roots
 
@@ -194,24 +194,6 @@ def chevalley_multiply(group: WeylGroup, i: int, w_idx: int) -> list[tuple[int, 
     ]
 
 
-def theta_coordinates(g: GroupSpec, weyl: WeylGroup) -> tuple[Vector, ...]:
-    """The coordinates of each positive root beta_k of the Weyl group in the
-    basis theta of the unit lattice of g, in integers.
-
-    These are the d2 coefficients: tau(t_g) = sum_l tau[g][l] omega_l, and
-    omega_l contributes the l-th coefficient of beta_k.  tau is C^T, where the
-    simple roots are C theta, so that sum is the g-th coordinate of beta_k in
-    theta.  It is read off in the three cases of lattices.unit_lattice_basis:
-    theta is the identity, the simple roots, or a Hermite form.
-    """
-    if g.weight_basis:
-        return weyl.roots
-    if lattices.is_simply_connected(g):
-        return weyl.coefficients
-    theta = lattices.unit_lattice_basis(g)
-    return tuple(lattices.hermite_coordinates(theta, beta) for beta in weyl.roots)
-
-
 class E2Page(NamedTuple):
     group: GroupSpec
     coefficients: Coefficients
@@ -288,7 +270,7 @@ def build_e2(
     }
 
     # d2(sigma_w (x) t_g) has coefficient paired[k][g] at sigma_{w s_beta_k}.
-    paired = theta_coordinates(g, weyl)
+    paired = lattices.theta_coordinates(g, weyl.roots, weyl.coefficients)
 
     def d2_matrix(s: int, t: int) -> tuple[dict[int, int], ...]:
         # Covers of w have distinct targets and the faces of J are distinct,

@@ -29,7 +29,6 @@ from transgress import (
     transgression_matrix,
 )
 from transgress.exactlin import det, identity, transpose
-from transgress.lattices import pi1_order
 from transgress.rootdata import invariant_degrees
 
 ROOT_COUNTS = {
@@ -105,7 +104,7 @@ def test_criterion_3_determinant_law():
         for choice in enumerate_pi1_choices(center_group(rs)):
             g = group_spec(rs, choice.generators)
             m = transgression_matrix(g).matrix
-            index = pi1_order(g)
+            index = g.pi1_order
             assert choice.order == index
             assert abs(det(m)) == index, (name, choice.label)
             for p in (2, 3, 5, 7):

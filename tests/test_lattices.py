@@ -1,10 +1,12 @@
+import contextlib
+import io
 import itertools
 
 import pytest
 
 from conftest import ALL_TYPES, cached_root_system
 from rational_reference import solve_integral
-from transgress import exactlin, lattices
+from transgress import cli, exactlin, lattices
 from transgress import (
     adjoint_spec,
     center_group,
@@ -25,9 +27,7 @@ from transgress.lattices import (
     GroupSpec,
     LatticeConsistencyError,
     hermite_coordinates,
-    is_adjoint,
     is_simply_connected,
-    pi1_order,
 )
 
 
@@ -85,16 +85,16 @@ class TestUnitLattice:
     def test_simply_connected_theta_is_simple_roots(self):
         rs = cached_root_system("C3")
         g = group_spec(rs, ())
-        assert unit_lattice_basis(g) == rs.cartan
+        assert g.theta == rs.cartan
 
     def test_adjoint_theta_is_identity(self):
         rs = cached_root_system("C3")
-        assert unit_lattice_basis(adjoint_spec(rs)) == identity(3)
+        assert adjoint_spec(rs).theta == identity(3)
 
     def test_psu2(self):
         rs = cached_root_system("A1")
         g = adjoint_spec(rs)
-        assert unit_lattice_basis(g) == identity(1)
+        assert g.theta == identity(1)
         assert transition_matrix(g) == ((2,),)
 
     def test_rank_deficient_basis_raises(self):
@@ -102,9 +102,8 @@ class TestUnitLattice:
         # diagonal of the Hermite form of the stacked rows.
         for cartan, gen in [(((1, 1), (1, 1)), (1, 1)), (((0, 1), (0, 1)), (0, 2))]:
             rs = cached_root_system("A2")._replace(cartan=cartan)
-            g = GroupSpec(root_system=rs, pi1_generators=(gen,))
             with pytest.raises(LatticeConsistencyError, match="rank deficient"):
-                unit_lattice_basis(g)
+                unit_lattice_basis(rs, (gen,), False)
 
     def test_generator_wrong_length_rejected(self):
         rs = cached_root_system("A2")
@@ -118,9 +117,9 @@ class TestUnitLattice:
         assert len(proper) == 3
         for s in proper:
             g = group_spec(rs, s.generators)
-            assert not is_simply_connected(g) and not is_adjoint(g)
-            theta = unit_lattice_basis(g)
-            assert abs(det(theta)) == abs(det(rs.cartan)) // s.order
+            assert not is_simply_connected(g)
+            assert g.pi1_order == s.order != center_group(rs).order
+            assert abs(det(g.theta)) == abs(det(rs.cartan)) // s.order
 
 
 class TestHermiteCoordinates:
@@ -156,8 +155,8 @@ class TestTransitionMatrix:
         # form of the stacked rows, not from a special case.
         rs = cached_root_system(name)
         g = group_spec(rs, identity(rs.rank))
-        assert not g.weight_basis and is_adjoint(g)
-        assert unit_lattice_basis(g) == identity(rs.rank)
+        assert not g.weight_basis and g.pi1_order == center_group(rs).order
+        assert g.theta == identity(rs.rank)
         assert transition_matrix(g) == rs.cartan
 
     @pytest.mark.parametrize("name", ALL_TYPES)
@@ -168,23 +167,20 @@ class TestTransitionMatrix:
             c = transition_matrix(g)
             # independent index computation: quotient of lattice indices via
             # the unit-lattice determinant
-            theta = unit_lattice_basis(g)
-            index = abs(det(rs.cartan)) // abs(det(theta))
+            index = abs(det(rs.cartan)) // abs(det(g.theta))
             assert abs(det(c)) == index == sub.order
             assert (c == identity(rs.rank)) == (sub.order == 1)
 
-    def test_non_integral_simple_root_is_a_consistency_error(self, monkeypatch):
+    def test_non_integral_simple_root_is_a_consistency_error(self):
         # theta = (4) for A1: the simple root (2) is 1/2 of it.
-        g = group_spec(cached_root_system("A1"), ())
-        monkeypatch.setattr(lattices, "unit_lattice_basis", lambda g: ((4,),))
+        g = group_spec(cached_root_system("A1"), ())._replace(theta=((4,),))
         with pytest.raises(LatticeConsistencyError, match="not integral"):
             transition_matrix(g)
 
     def test_row_lattice_sandwich(self):
         rs = cached_root_system("D5")
         for sub in enumerate_pi1_choices(center_group(rs)):
-            g = group_spec(rs, sub.generators)
-            theta = unit_lattice_basis(g)
+            theta = group_spec(rs, sub.generators).theta
             # every simple root is integral in theta; theta is integral in Z^n
             solve_integral(transpose(theta), transpose(rs.cartan))
             assert all(isinstance(x, int) for row in theta for x in row)
@@ -193,7 +189,7 @@ class TestTransitionMatrix:
         # two bases of the same unit lattice differ by a unimodular factor
         rs = cached_root_system("A3")
         g = adjoint_spec(rs)
-        theta = unit_lattice_basis(g)
+        theta = g.theta
         u = as_matrix([[1, 0, 0], [2, 1, 0], [0, -3, 1]])
         theta2 = as_matrix(
             [
@@ -214,8 +210,8 @@ class TestPi1Order:
     @pytest.mark.parametrize("name", ALL_TYPES)
     def test_order_extremes(self, name):
         rs = cached_root_system(name)
-        assert pi1_order(group_spec(rs, ())) == 1
-        assert pi1_order(adjoint_spec(rs)) == center_group(rs).order
+        assert group_spec(rs, ()).pi1_order == 1
+        assert adjoint_spec(rs).pi1_order == center_group(rs).order
 
 
 def test_parsing_runs_no_rational_solve(monkeypatch):
@@ -238,3 +234,54 @@ def test_parsing_runs_no_rational_solve(monkeypatch):
         except Exception as exc:
             failed.append(f"{spec}: {exc}")
     assert failed == []
+
+
+class TestLatticeRecord:
+    def test_fields(self):
+        assert GroupSpec._fields == (
+            "root_system", "pi1_generators", "weight_basis", "theta", "pi1_order"
+        )
+
+    def test_weight_basis_needs_the_full_center(self):
+        rs = cached_root_system("A3")
+        with pytest.raises(ValueError, match="full center"):
+            group_spec(rs, [(0, 1, 0)], weight_basis=True)
+
+    @pytest.mark.parametrize("argv", [
+        ["tau", "E7:adj", "--mod", "2", "--json"],
+        ["tau", "A3:pi1=[0,1,0]", "--mod", "2", "--json"],
+        ["describe", "D4:pi1=[1,0,0,0;0,0,0,1]", "--json"],
+        ["describe", "E7:adj", "--json"],
+    ])
+    def test_one_job_decides_each_lattice_fact_once(self, argv, monkeypatch):
+        calls = dict.fromkeys(
+            ["closure", "theta", "center", "invariant_factors", "hermite"], 0
+        )
+
+        def counted(module, name, key):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                hermite = calls["hermite"]
+                result = original(*args, **kwargs)
+                if key == "invariant_factors":
+                    calls["hermite"] = hermite  # its own forms are not counted
+                return result
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(lattices, "_closure", "closure")
+        counted(lattices, "unit_lattice_basis", "theta")
+        counted(lattices, "center_group", "center")
+        counted(exactlin, "invariant_factors", "invariant_factors")
+        counted(exactlin, "hermite_normal_form", "hermite")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        describe = argv[0] == "describe"
+        assert calls["closure"] == 1, calls
+        assert calls["theta"] == 1, calls
+        assert calls["center"] == int(describe), calls
+        assert calls["invariant_factors"] <= int(describe), calls
+        # The Cartan matrix, plus the stacked rows of a pi1= form.
+        assert calls["hermite"] <= 2, calls

@@ -27,7 +27,7 @@ from transgress import (
     parse_group_spec,
     weyl_group,
 )
-from transgress import spectral
+from transgress import lattices, spectral
 from transgress.exactlin import rank
 from transgress.lattices import center_group, enumerate_pi1_choices
 from transgress.rootdata import invariant_degrees
@@ -415,7 +415,8 @@ class TestE2Page:
                 tuple(sum(t * c for t, c in zip(tau_g, coeffs)) for tau_g in tau)
                 for coeffs in weyl.coefficients
             )
-            assert spectral.theta_coordinates(g, weyl) == want, g.pi1_generators
+            got = lattices.theta_coordinates(g, weyl.roots, weyl.coefficients)
+            assert got == want, g.pi1_generators
 
     def test_cap_refusal_comes_before_lattice_work(self, monkeypatch):
         # A7 has 40320 Weyl elements; the refusal must not wait for theta.
@@ -426,8 +427,8 @@ class TestE2Page:
             adjoint_spec(cached_root_system("A7")),
             parse_group_spec("A7:pi1=[0,1,0,0,0,0,0]"),
         ]
-        for name in ("unit_lattice_basis", "hermite_coordinates", "transition_matrix"):
-            monkeypatch.setattr(spectral.lattices, name, no_lattice_work)
+        for name in ("theta_coordinates", "hermite_coordinates", "transition_matrix"):
+            monkeypatch.setattr(lattices, name, no_lattice_work)
         for g in groups:
             with pytest.raises(WeylCapExceededError, match="40320"):
                 build_e2(g)
