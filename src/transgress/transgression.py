@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import exactlin, lattices
-from .exactlin import Matrix, Vector, det, transpose
+from .exactlin import Matrix, Vector, transpose
 from .lattices import GroupSpec
 
 
@@ -72,7 +72,6 @@ def modp_analysis(g: GroupSpec, p: int) -> ModPAnalysis:
 
 
 def _prime_factors(n: int) -> list[int]:
-    n = abs(n)
     out = []
     d = 2
     while d * d <= n:
@@ -89,12 +88,13 @@ def _prime_factors(n: int) -> list[int]:
 def singular_primes(g: GroupSpec) -> list[int]:
     """Primes p at which the transgression mod p fails to be an isomorphism.
 
-    Nonempty output for any group with nontrivial fundamental group; this is
-    the counterexample set to the claim that the mod-p transgression is
-    always invertible.
+    These are the primes of |pi1|, read off g.pi1_order with no tau: |det tau|
+    = |pi1| (the det law), and transition_matrix checks that equality on each
+    tau it builds.  Nonempty output for any group with nontrivial fundamental
+    group; this is the counterexample set to the claim that the mod-p
+    transgression is always invertible.
     """
-    tau = transgression_matrix(g)
-    return _prime_factors(det(tau.matrix))
+    return _prime_factors(g.pi1_order)
 
 
 def format_combination(coeffs: Vector, symbol: str) -> str:

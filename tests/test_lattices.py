@@ -285,3 +285,25 @@ class TestLatticeRecord:
         assert calls["invariant_factors"] <= int(describe), calls
         # The Cartan matrix, plus the stacked rows of a pi1= form.
         assert calls["hermite"] <= 2, calls
+
+    @pytest.mark.parametrize("argv,builds", [
+        (["tau", "E7:adj", "--mod", "2", "--json"], 2),
+        (["tau", "A3:pi1=[0,1,0]", "--mod", "2", "--json"], 2),
+        (["tau", "D4:adj", "--json"], 1),
+        (["describe", "E7:adj", "--json"], 0),
+        (["e3", "A2:adj", "--coeff", "3", "--json"], 0),
+    ])
+    def test_tau_builds_per_job(self, argv, builds, monkeypatch):
+        # cmd_tau builds tau once and modp_analysis once more; the singular
+        # primes are read off pi1_order, and describe and e3 build none.
+        original = lattices.transition_matrix
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return original(g)
+
+        monkeypatch.setattr(lattices, "transition_matrix", counted)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        assert len(calls) == builds, argv

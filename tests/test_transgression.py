@@ -3,12 +3,14 @@ import pytest
 from conftest import ALL_TYPES, cached_root_system
 from transgress import (
     adjoint_spec,
+    center_group,
+    enumerate_pi1_choices,
     group_spec,
     modp_analysis,
     singular_primes,
     transgression_matrix,
 )
-from transgress.exactlin import identity, transpose
+from transgress.exactlin import det, identity, transpose
 from transgress.transgression import format_combination
 
 
@@ -95,6 +97,19 @@ class TestSingularPrimes:
 
     def test_adjoint_su6(self):
         assert singular_primes(adjoint_spec(cached_root_system("A5"))) == [2, 3]
+
+    @pytest.mark.parametrize("name", ALL_TYPES)
+    def test_det_law(self, name):
+        # singular_primes reads |pi1| off the closure count in group_spec;
+        # the oracle factors |det tau| from the Fraction solve instead.
+        rs = cached_root_system(name)
+        forms = [group_spec(rs, c.generators)
+                 for c in enumerate_pi1_choices(center_group(rs))]
+        for g in forms + [adjoint_spec(rs)]:
+            d = abs(det(transgression_matrix(g).matrix))
+            primes = [p for p in range(2, d + 1)
+                      if d % p == 0 and all(p % q for q in range(2, p))]
+            assert singular_primes(g) == primes, (name, g.pi1_generators)
 
 
 class TestFormatting:
