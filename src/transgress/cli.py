@@ -78,7 +78,7 @@ def cmd_describe(args, out) -> int:
     payload = {
         "lie_type": str(rs.lie_type),
         "rank": n,
-        "form": spec.split(":", 1)[1],
+        "form": g.form,
         "cartan": _matrix_payload(
             rs.cartan,
             [f"alpha_{i}" for i in range(1, n + 1)],

@@ -3,6 +3,8 @@
 Grammar: `<FAMILY><RANK>` optionally followed by `:sc`, `:adj`, or
 `:pi1=[v1;v2;...]` where each v is a comma-separated integer vector in
 fundamental-weight coordinates.  No suffix means simply connected.
+lattices.group_spec decides the form that canonical_spec_string prints:
+`:adj` whenever pi1 is the whole center, so `A1:pi1=[1]` reads `A1:adj`.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 import re
 
 from . import lattices, rootdata
-from .exactlin import det
 from .lattices import GroupSpec
 
 
@@ -70,12 +71,4 @@ def parse_group_spec(text: str) -> GroupSpec:
 
 
 def canonical_spec_string(g: GroupSpec) -> str:
-    if g.weight_basis:
-        form = "adj"
-    elif lattices.is_simply_connected(g):
-        form = "sc"
-    elif g.pi1_order == abs(det(g.root_system.cartan)):
-        form = "adj"
-    else:
-        form = "pi1=[" + ";".join(",".join(map(str, v)) for v in g.pi1_generators) + "]"
-    return f"{g.root_system.lie_type}:{form}"
+    return f"{g.root_system.lie_type}:{g.form}"

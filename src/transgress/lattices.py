@@ -7,15 +7,18 @@ given by generators; the unit lattice is the root lattice enlarged by those
 generators.  The center is known by its invariant factors (the Smith
 diagonal of the Cartan matrix), and the fundamental weights generate it.
 group_spec decides the lattice facts of a form once: it reduces the
-generators, counts pi1 and takes the basis theta of the unit lattice from
-unit_lattice_basis.  The transition matrix C expresses the simple roots in
-theta, and its transpose is the transgression matrix downstream.
+generators, counts pi1, decides the form (sc, adj or pi1=[...], labelled
+by _form_label, as enumerate_pi1_choices labels too) and takes the basis
+theta of the unit lattice from unit_lattice_basis.  The transition matrix C
+expresses the simple roots in theta, and its transpose is the transgression
+matrix downstream.
 hermite_coordinates writes one vector in a Hermite theta in integers, with
 no solve over Q, and theta_coordinates writes the roots in theta.
 """
 
 from __future__ import annotations
 
+from math import prod
 from typing import NamedTuple
 
 from . import exactlin
@@ -121,15 +124,9 @@ def enumerate_pi1_choices(c: CenterGroup) -> list[Pi1Subgroup]:
     out = []
     for sub in subgroups:
         gens = _minimal_generators(sub, hnf, n)
-        if len(sub) == 1:
-            label = "sc"
-        elif len(sub) == len(elements):
-            label = "adj"
-        else:
-            label = "pi1=[" + ";".join(",".join(str(x) for x in g) for g in gens) + "]"
         out.append(
             Pi1Subgroup(
-                label=label,
+                label=_form_label(gens, len(sub), len(elements)),
                 order=len(sub),
                 generators=gens,
                 elements=tuple(sorted(sub)),
@@ -139,21 +136,31 @@ def enumerate_pi1_choices(c: CenterGroup) -> list[Pi1Subgroup]:
     return out
 
 
+def _form_label(generators, order: int, center_order: int) -> str:
+    """The form of a group with these reduced pi1 generators and |pi1| =
+    order: sc without generators, adj when pi1 is the whole center, else
+    pi1=[...] of the generators."""
+    if not generators:
+        return "sc"
+    if order == center_order:
+        return "adj"
+    return "pi1=[" + ";".join(",".join(map(str, g)) for g in generators) + "]"
+
+
 class GroupSpec(NamedTuple):
     """A compact connected form: root system plus fundamental-group generators.
 
     pi1_generators are coset representatives modulo the root lattice; the
-    empty tuple means simply connected, the full center means adjoint.
-    weight_basis records that the group was requested as adjoint, so the
-    unit-lattice basis is taken to be the fundamental weights even when the
-    center is trivial and the form coincides with the simply connected one.
-    group_spec decides theta (unit_lattice_basis) and pi1_order; the form is
-    adjoint when pi1_order is |det cartan|, the order of the center.
+    empty tuple means simply connected.  form is the label group_spec decides
+    once: "adj" for a group requested as adjoint (even when the center is
+    trivial, as for E8, F4 and G2) or whose pi1 is the whole center, "sc"
+    otherwise when there are no generators, else "pi1=[...]".  theta is the
+    unit-lattice basis (unit_lattice_basis) and pi1_order is |pi1|.
     """
 
     root_system: RootSystem
     pi1_generators: tuple[Vector, ...]
-    weight_basis: bool
+    form: str
     theta: Matrix
     pi1_order: int
 
@@ -175,13 +182,16 @@ def group_spec(rs: RootSystem, generators=(), weight_basis: bool = False) -> Gro
         if any(r):
             reduced.append(r)
     order = len(_closure(reduced, hnf, rs.rank))
-    if weight_basis and order != abs(det(rs.cartan)):
+    # |center| = |det cartan| = the product of the Hermite diagonal.
+    center_order = prod(hnf[i][i] for i in range(rs.rank))
+    if weight_basis and order != center_order:
         raise ValueError("weight_basis requires the full center as pi1")
+    form = "adj" if weight_basis else _form_label(reduced, order, center_order)
     return GroupSpec(
         root_system=rs,
         pi1_generators=tuple(reduced),
-        weight_basis=weight_basis,
-        theta=unit_lattice_basis(rs, reduced, weight_basis),
+        form=form,
+        theta=unit_lattice_basis(rs, reduced, form == "adj"),
         pi1_order=order,
     )
 
@@ -191,21 +201,17 @@ def adjoint_spec(rs: RootSystem) -> GroupSpec:
     return group_spec(rs, identity(rs.rank), weight_basis=True)
 
 
-def is_simply_connected(g: GroupSpec) -> bool:
-    return not g.pi1_generators
-
-
-def unit_lattice_basis(rs: RootSystem, generators, weight_basis: bool) -> Matrix:
+def unit_lattice_basis(rs: RootSystem, generators, adjoint: bool) -> Matrix:
     """Ordered basis theta of the unit lattice, rows in weight coordinates,
     for the reduced fundamental-group generators.
 
-    Simply connected groups get the simple roots themselves, and groups
-    requested as adjoint the fundamental weights (identity matrix).  Others
-    get the HNF basis of the lattice spanned by the simple roots and the
-    fundamental-group generators, which is the identity when they span Z^n.
+    Adjoint forms get the fundamental weights (identity matrix), which is
+    also the HNF basis of Z^n, and simply connected groups the simple roots
+    themselves.  Others get the HNF basis of the lattice spanned by the
+    simple roots and the fundamental-group generators.
     """
     n = rs.rank
-    if weight_basis:
+    if adjoint:
         return identity(n)
     if not generators:
         return rs.cartan
@@ -241,9 +247,9 @@ def theta_coordinates(g: GroupSpec, roots, coefficients) -> tuple[Vector, ...]:
     theta.  It is read off in the three cases of unit_lattice_basis: theta
     is the identity, the simple roots, or a Hermite form.
     """
-    if g.weight_basis:
+    if g.form == "adj":
         return roots
-    if is_simply_connected(g):
+    if g.form == "sc":
         return coefficients
     return tuple(hermite_coordinates(g.theta, beta) for beta in roots)
 

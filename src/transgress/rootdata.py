@@ -22,8 +22,6 @@ from typing import NamedTuple
 
 from .exactlin import Matrix, Vector, as_matrix, transpose
 
-FAMILIES = "ABCDEFG"
-
 # Rank ceiling for families A-D, checked when a `LieType` is made, before
 # anything is built.  Timed on a 2-core Xeon: `e3 D32 --max-degree 3` takes
 # 0.3-0.5 s and 21 MB; with the ceiling lifted, `e3 A40 --max-degree 3` takes

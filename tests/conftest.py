@@ -6,7 +6,7 @@ import pytest
 
 from transgress import LieType, build_root_system, transgression_matrix, weyl_group
 from transgress.exactlin import Matrix, Vector, det, dims, rank
-from transgress.rootdata import positive_roots
+from transgress.rootdata import invariant_degrees, positive_roots
 
 from rational_reference import coroot_pairing, root_coordinates
 
@@ -290,6 +290,69 @@ def d2_composites(page):
             entries += [(a, b, value) for b, value in sorted(acc.items()) if value]
         out[(s, t)] = entries
     return out
+
+
+def exact_series_division(a, b):
+    """a / b for integer polynomials (coefficient lists, lowest degree first)
+    with b[0] = 1, raising AssertionError unless b divides a exactly."""
+    if len(a) < len(b):
+        raise AssertionError(f"{b} does not divide {a}")
+    rem = list(a)
+    quotient = []
+    for i in range(len(a) - len(b) + 1):
+        c = rem[i]
+        quotient.append(c)
+        for j, x in enumerate(b):
+            rem[i + j] -= c * x
+    if any(rem):
+        raise AssertionError(f"{b} does not divide {a}: remainder {rem}")
+    while len(quotient) > 1 and not quotient[-1]:
+        quotient.pop()
+    return quotient
+
+
+def kac_factorisation(ranks, lie_type):
+    """The degrees e_1 <= ... <= e_n of Kac's factorisation of a whole page,
+    asserting that the page is R (x) Lambda(y_1, ..., y_n) in every bidegree.
+
+    Kac (Invent. Math. 80, 1985): H*(G/T; F) is R (x) S/J as a module over
+    S = H*(BT; F), R = E3^(*,0) the quotient by the image of tau, and J
+    generated by a regular sequence of degrees 2 e_i.  So R(u) prod (1 - u^e_i)
+    = prod (1 - u^d_i), u = q^2 and d_i the invariant degrees, and
+    E3 = Tor^S(H*(G/T), F) = R (x) Lambda with y_i in bidegree (2 e_i - 2, 1).
+    The e_i are peeled off lowest first by exact division.  An oracle that
+    reads only row 0 and the invariant degrees.
+    """
+    page = ranks.bidegree_ranks
+    row0 = {s: r for (s, t), r in page.items() if t == 0}
+    if any(s % 2 for s in row0) or row0.get(0) != 1:
+        raise AssertionError(f"row 0 is not a graded ring in even degrees: {row0}")
+    series = [row0.get(2 * k, 0) for k in range(max(row0) // 2 + 1)]
+    rest = [1]
+    for d in invariant_degrees(lie_type):
+        rest = [
+            (rest[k] if k < len(rest) else 0) - (rest[k - d] if k >= d else 0)
+            for k in range(len(rest) + d)
+        ]
+    rest = exact_series_division(rest, series)
+    degrees = []
+    for _ in range(lie_type.rank):
+        e = next((k for k, x in enumerate(rest) if k and x), None)
+        if e is None:
+            raise AssertionError(f"only {degrees} peel off {lie_type}")
+        degrees.append(e)
+        rest = exact_series_division(rest, [1] + [0] * (e - 1) + [-1])
+    if rest != [1]:
+        raise AssertionError(f"{rest} is left after peeling off {degrees}")
+    predicted = {}
+    for t in range(lie_type.rank + 1):
+        for ys in itertools.combinations(degrees, t):
+            shift = sum(2 * e - 2 for e in ys)
+            for s, r in row0.items():
+                predicted[(s + shift, t)] = predicted.get((s + shift, t), 0) + r
+    if predicted != dict(page):
+        raise AssertionError(f"R (x) Lambda{tuple(degrees)} is not the page")
+    return tuple(degrees)
 
 
 @pytest.fixture(scope="session")

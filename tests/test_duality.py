@@ -5,7 +5,9 @@ complex (E2, d2) over it is self-dual, so dim E3^(s,t) = dim E3^(2N-s, n-t)
 (Bruns-Herzog, Cohen-Macaulay Rings, 1.6; Avramov-Golod 1971).  The first
 test checks that on whole pages, which share no code with the mirror; the
 others check that `transgress e3`, which builds a page only to dim G // 2
-and mirrors the rest, gives what the whole page gives.
+and mirrors the rest, gives what the whole page gives.  Each whole page is
+also checked against Kac's factorisation (conftest.kac_factorisation), which
+ties every row to row 0.
 """
 
 import functools
@@ -13,8 +15,10 @@ import json
 
 import pytest
 
+from conftest import kac_factorisation
 from transgress import build_e2, e3_ranks, parse_group_spec
 from transgress.cli import main
+from transgress.rootdata import invariant_degrees
 from transgress.spectral import mirror_ranks
 
 SPECS = [
@@ -63,6 +67,15 @@ def test_whole_page_is_self_dual(spec, p):
         assert ranks.bidegree_ranks.get(mirror) == r, f"E3^({s},{u}) vs {mirror}"
     for d in range(dim_g + 1):
         assert ranks.ranks[d] == ranks.ranks[dim_g - d], f"degree {d}"
+
+
+@pytest.mark.parametrize("spec,p", PAGES)
+def test_whole_page_is_kacs_factorisation(spec, p):
+    t = parse_group_spec(spec).root_system.lie_type
+    degrees = kac_factorisation(whole_page_ranks(spec, p), t)
+    if p is None:
+        # Over Q, R = Q and the y_i are the primitive generators x_(2d - 1).
+        assert degrees == invariant_degrees(t)
 
 
 @pytest.mark.parametrize("spec,p", PAGES)

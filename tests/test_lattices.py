@@ -1,6 +1,8 @@
 import contextlib
 import io
 import itertools
+import math
+import sys
 
 import pytest
 
@@ -23,11 +25,11 @@ from transgress.exactlin import (
     identity,
     transpose,
 )
+from transgress.groupspec import canonical_spec_string
 from transgress.lattices import (
     GroupSpec,
     LatticeConsistencyError,
     hermite_coordinates,
-    is_simply_connected,
 )
 
 
@@ -117,7 +119,7 @@ class TestUnitLattice:
         assert len(proper) == 3
         for s in proper:
             g = group_spec(rs, s.generators)
-            assert not is_simply_connected(g)
+            assert g.form == s.label != "sc" and g.pi1_generators
             assert g.pi1_order == s.order != center_group(rs).order
             assert abs(det(g.theta)) == abs(det(rs.cartan)) // s.order
 
@@ -151,12 +153,15 @@ class TestTransitionMatrix:
 
     @pytest.mark.parametrize("name", NONTRIVIAL_CENTER)
     def test_weights_as_explicit_generators_are_adjoint(self, name):
-        # Without weight_basis the unit lattice Z^n comes out of the Hermite
-        # form of the stacked rows, not from a special case.
+        # Without weight_basis the form is adjoint because pi1 is the whole
+        # center, and its theta = I is also the Hermite form of the stacked
+        # rows, which unit_lattice_basis skips for adjoint forms.
         rs = cached_root_system(name)
         g = group_spec(rs, identity(rs.rank))
-        assert not g.weight_basis and g.pi1_order == center_group(rs).order
+        assert g.form == "adj" and g.pi1_order == center_group(rs).order
         assert g.theta == identity(rs.rank)
+        stacked = as_matrix(list(rs.cartan) + list(g.pi1_generators))
+        assert hermite_normal_form(stacked)[: rs.rank] == g.theta
         assert transition_matrix(g) == rs.cartan
 
     @pytest.mark.parametrize("name", ALL_TYPES)
@@ -206,6 +211,35 @@ class TestTransitionMatrix:
         assert b == u
 
 
+def every_form():
+    """(type, subgroup) for every pi1 subgroup of every type of rank <= 8,
+    and (type, None) for its adjoint_spec: 114 forms."""
+    for name in ALL_TYPES:
+        for sub in enumerate_pi1_choices(center_group(cached_root_system(name))):
+            yield pytest.param(name, sub, id=f"{name}:{sub.label}")
+        yield pytest.param(name, None, id=f"{name}:adjoint_spec")
+
+
+@pytest.mark.parametrize("name,sub", list(every_form()))
+def test_each_form_is_decided_once(name, sub):
+    rs = cached_root_system(name)
+    g = adjoint_spec(rs) if sub is None else group_spec(rs, sub.generators)
+    # |center| as group_spec reads it, the product of the Hermite diagonal.
+    h = hermite_normal_form(rs.cartan)
+    center = math.prod(h[i][i] for i in range(rs.rank))
+    assert center == abs(det(rs.cartan))
+    if sub is not None:
+        assert g.form == sub.label and g.pi1_order == sub.order
+    if g.form == "adj":
+        assert g.pi1_order == center and g.theta == identity(rs.rank)
+    label = canonical_spec_string(g)
+    assert label == f"{name}:{g.form}"
+    back = parse_group_spec(label)
+    assert (canonical_spec_string(back), back.theta, back.pi1_order) == (
+        label, g.theta, g.pi1_order
+    )
+
+
 class TestPi1Order:
     @pytest.mark.parametrize("name", ALL_TYPES)
     def test_order_extremes(self, name):
@@ -239,7 +273,7 @@ def test_parsing_runs_no_rational_solve(monkeypatch):
 class TestLatticeRecord:
     def test_fields(self):
         assert GroupSpec._fields == (
-            "root_system", "pi1_generators", "weight_basis", "theta", "pi1_order"
+            "root_system", "pi1_generators", "form", "theta", "pi1_order"
         )
 
     def test_weight_basis_needs_the_full_center(self):
@@ -285,6 +319,31 @@ class TestLatticeRecord:
         assert calls["invariant_factors"] <= int(describe), calls
         # The Cartan matrix, plus the stacked rows of a pi1= form.
         assert calls["hermite"] <= 2, calls
+
+    @pytest.mark.parametrize("argv", [
+        ["describe", "D4:pi1=[1,0,0,0;0,0,0,1]", "--json"],
+        ["tau", "A3:pi1=[0,1,0]", "--mod", "2", "--json"],
+        ["e3", "A2:adj", "--coeff", "3", "--json"],
+    ])
+    def test_no_job_takes_det_of_the_cartan_matrix(self, argv, monkeypatch):
+        # group_spec reads |center| off the Hermite diagonal it already has,
+        # and the form label off the record.  Every module's own binding of
+        # det is counted, not only exactlin's.
+        cartan = parse_group_spec(argv[1]).root_system.cartan
+        original = exactlin.det
+        calls = []
+
+        def counted(m):
+            if m == cartan:
+                calls.append(m)
+            return original(m)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("transgress") and getattr(module, "det", None) is original:
+                monkeypatch.setattr(module, "det", counted)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        assert calls == [], argv
 
     @pytest.mark.parametrize("argv,builds", [
         (["tau", "E7:adj", "--mod", "2", "--json"], 2),
