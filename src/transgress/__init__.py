@@ -11,7 +11,6 @@ from .groupspec import GroupSpecParseError, parse_group_spec
 from .lattices import (
     CenterGroup,
     GroupSpec,
-    Pi1Subgroup,
     adjoint_spec,
     center_group,
     enumerate_pi1_choices,

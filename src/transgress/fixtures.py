@@ -87,18 +87,16 @@ def _check_modp_table(fx) -> tuple[bool, str]:
 
 
 def _check_det_law(fx) -> tuple[bool, str]:
-    g0 = parse_group_spec(fx["spec"])
-    rs = g0.root_system
-    center = lattices.center_group(rs)
-    for sub in lattices.enumerate_pi1_choices(center):
-        g = lattices.group_spec(rs, sub.generators)
+    # enumerate_pi1_choices checks each pi1_order against its own subgroup.
+    for g in lattices.enumerate_pi1_choices(parse_group_spec(fx["spec"]).root_system):
+        order = g.pi1_order
         tau = transgression.transgression_matrix(g).matrix
-        if abs(det(tau)) != sub.order:
-            return False, f"{sub.label}: |det| {abs(det(tau))} != order {sub.order}"
+        if abs(det(tau)) != order:
+            return False, f"{g.form}: |det| {abs(det(tau))} != order {order}"
         for p in (2, 3, 5, 7):
             iso = transgression.modp_analysis(g, p).is_isomorphism
-            if iso != (sub.order % p != 0):
-                return False, f"{sub.label}: mod-{p} isomorphism flag wrong"
+            if iso != (order % p != 0):
+                return False, f"{g.form}: mod-{p} isomorphism flag wrong"
     return True, ""
 
 

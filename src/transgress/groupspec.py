@@ -2,9 +2,13 @@
 
 Grammar: `<FAMILY><RANK>` optionally followed by `:sc`, `:adj`, or
 `:pi1=[v1;v2;...]` where each v is a comma-separated integer vector in
-fundamental-weight coordinates.  No suffix means simply connected.
+fundamental-weight coordinates, each entry ASCII digits with an optional
+sign and spaces around it.  No suffix means simply connected.
 lattices.group_spec decides the form that canonical_spec_string prints:
-`:adj` whenever pi1 is the whole center, so `A1:pi1=[1]` reads `A1:adj`.
+`:adj` whenever pi1 is the whole center, so `A1:pi1=[1]` reads `A1:adj`,
+and otherwise the minimal generators of the subgroup, so that every
+spelling of one subgroup prints alike: `A5:pi1=[0,1,0,0,0]` and
+`A5:pi1=[0,0,0,0,4]` both read `A5:pi1=[0,0,0,0,2]`.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ class GroupSpecParseError(ValueError):
 
 _HEAD = re.compile(r"([A-G])([0-9]+)")
 _PI1 = re.compile(r":pi1=\[(.*)\]")
+_INT = r" *[+-]?[0-9]+ *"  # compiled on first use, not at import
 
 
 def parse_group_spec(text: str) -> GroupSpec:
@@ -47,15 +52,14 @@ def parse_group_spec(text: str) -> GroupSpec:
     if pm:
         generators = []
         body = pm.group(1)
-        if body.strip():
+        if body.strip(" "):
             offset = m.end() + pm.start(1)
             for chunk in body.split(";"):
-                try:
-                    vec = tuple(int(x) for x in chunk.split(","))
-                except ValueError as exc:
-                    raise GroupSpecParseError(
-                        f"bad integer vector {chunk!r}", offset
-                    ) from exc
+                entries = chunk.split(",")
+                # ASCII digits only: int() also reads 1_0 and other scripts' digits.
+                if not all(re.fullmatch(_INT, x) for x in entries):
+                    raise GroupSpecParseError(f"bad integer vector {chunk!r}", offset)
+                vec = tuple(map(int, entries))
                 if len(vec) != lie_type.rank:
                     raise GroupSpecParseError(
                         f"generator {chunk!r} has length {len(vec)}, "

@@ -6,14 +6,17 @@ group is pinned down by a subgroup of the center (= weight/root quotient),
 given by generators; the unit lattice is the root lattice enlarged by those
 generators.  The center is known by its invariant factors (the Smith
 diagonal of the Cartan matrix), and the fundamental weights generate it.
-group_spec decides the lattice facts of a form once: it reduces the
-generators, counts pi1, decides the form (sc, adj or pi1=[...], labelled
-by _form_label, as enumerate_pi1_choices labels too) and takes the basis
-theta of the unit lattice from unit_lattice_basis.  The transition matrix C
-expresses the simple roots in theta, and its transpose is the transgression
-matrix downstream.
-hermite_coordinates writes one vector in a Hermite theta in integers, with
-no solve over Q, and theta_coordinates writes the roots in theta.
+group_spec decides the lattice facts of a form once: it closes the
+generators to the subgroup pi1, keeps its minimal generators, counts pi1,
+names the form from those generators (sc, adj or pi1=[...]), so that every
+way of writing one subgroup gives one record, and takes the basis theta of
+the unit lattice from unit_lattice_basis.  enumerate_pi1_choices gives the
+group_spec of every subgroup.  The transition matrix C expresses the simple
+roots in theta, and its transpose is the transgression matrix downstream.
+_hermite_divide is the one division by a Hermite basis: its remainder
+reduces a coset modulo the root lattice, and its quotient, in
+hermite_coordinates, writes a vector in a Hermite theta in integers with no
+solve over Q.  theta_coordinates writes the roots in theta.
 """
 
 from __future__ import annotations
@@ -30,132 +33,106 @@ class LatticeConsistencyError(RuntimeError):
     """An internal invariant of the lattice chain failed (a bug, not bad input)."""
 
 
-def _reduce_mod_row_lattice(v: Vector, hnf: Matrix) -> Vector:
-    """Canonical coset representative of v modulo the row lattice of hnf.
+def _hermite_divide(h: Matrix, v: Vector) -> tuple[Vector, Vector]:
+    """(x, r) with v = x @ h + r, dividing front to back by the rows of a
+    square basis h in Hermite form (upper triangular, positive diagonal).
 
-    hnf must be a full-rank square row-style HNF (upper triangular, positive
-    diagonal); coordinates are reduced into [0, pivot) front to back.
+    Each r_i lies in [0, h_ii), so r is the canonical representative of v
+    modulo the row lattice of h, and r = 0 exactly when v lies in it.
     """
-    out = list(v)
-    for i in range(len(hnf)):
-        q = out[i] // hnf[i][i]
+    x, r = [], list(v)
+    for i, row in enumerate(h):
+        q = r[i] // row[i]
+        x.append(q)
         if q:
-            out = [a - q * b for a, b in zip(out, hnf[i])]
-    return tuple(out)
+            r = [a - q * b for a, b in zip(r, row)]
+    return tuple(x), tuple(r)
 
 
 class CenterGroup(NamedTuple):
     """Weight lattice / root lattice, i.e. the center of the 1-connected form."""
 
-    root_system: RootSystem
     invariant_factors: tuple[int, ...]
 
     @property
     def order(self) -> int:
-        n = 1
-        for f in self.invariant_factors:
-            n *= f
-        return n
+        return prod(self.invariant_factors)
 
 
 def center_group(rs: RootSystem) -> CenterGroup:
     factors = exactlin.invariant_factors(rs.cartan)
-    return CenterGroup(
-        root_system=rs, invariant_factors=tuple(d for d in factors if d > 1)
-    )
+    return CenterGroup(invariant_factors=tuple(d for d in factors if d > 1))
 
 
-class Pi1Subgroup(NamedTuple):
-    """A subgroup of the center, describing a fundamental group choice."""
-
-    label: str
-    order: int
-    generators: tuple[Vector, ...]
-    elements: tuple[Vector, ...]
-
-
-def _closure(seed, hnf, n) -> frozenset[Vector]:
-    zero = (0,) * n
-    elems = {zero}
-    frontier = {zero}
-    while frontier:
-        new = set()
-        for e in frontier:
-            for g in seed:
-                s = _reduce_mod_row_lattice(tuple(a + b for a, b in zip(e, g)), hnf)
-                if s not in elems:
-                    elems.add(s)
-                    new.add(s)
-        frontier = new
-    return frozenset(elems)
+def _extend(span: frozenset[Vector], g: Vector, hnf: Matrix) -> frozenset[Vector]:
+    """The subgroup span + <g> of Z^n / (row lattice of hnf), span a subgroup."""
+    out, layer = set(span), span
+    while layer:
+        layer = {
+            _hermite_divide(hnf, tuple(a + b for a, b in zip(s, g)))[1] for s in layer
+        } - out
+        out |= layer
+    return frozenset(out)
 
 
-def _minimal_generators(elements: frozenset[Vector], hnf, n) -> tuple[Vector, ...]:
+def _closure(seed, hnf: Matrix) -> frozenset[Vector]:
+    """The subgroup of Z^n / (row lattice of hnf) that the vectors seed generate."""
+    span = frozenset([(0,) * len(hnf)])
+    for g in seed:
+        span = _extend(span, g, hnf)
+    return span
+
+
+def _minimal_generators(elements: frozenset[Vector], hnf: Matrix) -> tuple[Vector, ...]:
+    """Each sorted element of a subgroup outside the span of those before it."""
     gens: list[Vector] = []
-    ordered = sorted(elements)
-    span: frozenset[Vector] = _closure([], hnf, n)
-    for e in ordered:
-        if e not in span:
-            gens.append(e)
-            span = _closure(gens, hnf, n)
+    span = frozenset([(0,) * len(hnf)])
+    for e in sorted(elements):
         if span == elements:
             break
+        if e not in span:
+            gens.append(e)
+            span = _extend(span, e, hnf)
     return tuple(gens)
 
 
-def enumerate_pi1_choices(c: CenterGroup) -> list[Pi1Subgroup]:
-    """All subgroups of the center, from trivial to full, with stable labels."""
-    rs = c.root_system
+def enumerate_pi1_choices(rs: RootSystem) -> list[GroupSpec]:
+    """Every form of rs, one group_spec per subgroup of the center, ordered
+    by |pi1| and then by the subgroup's sorted elements: sc first, adj last."""
     hnf = exactlin.hermite_normal_form(rs.cartan)
-    n = rs.rank
-    elements = tuple(sorted(_closure(identity(n), hnf, n)))
+    elements = _closure(identity(rs.rank), hnf)
     # The center has order <= rank + 1 for these types, so brute force over
     # cyclic extensions is plenty.
-    subgroups = {_closure([], hnf, n)}
-    changed = True
-    while changed:
-        changed = False
-        for sub in list(subgroups):
-            for e in elements:
-                bigger = _closure(list(sub) + [e], hnf, n)
-                if bigger not in subgroups:
-                    subgroups.add(bigger)
-                    changed = True
+    subgroups = {_closure((), hnf)}
+    todo = list(subgroups)
+    while todo:
+        sub = todo.pop()
+        for e in elements:
+            bigger = _extend(sub, e, hnf)
+            if bigger not in subgroups:
+                subgroups.add(bigger)
+                todo.append(bigger)
     out = []
-    for sub in subgroups:
-        gens = _minimal_generators(sub, hnf, n)
-        out.append(
-            Pi1Subgroup(
-                label=_form_label(gens, len(sub), len(elements)),
-                order=len(sub),
-                generators=gens,
-                elements=tuple(sorted(sub)),
-            )
-        )
-    out.sort(key=lambda s: (s.order, s.elements))
+    for sub in sorted(subgroups, key=lambda s: (len(s), sorted(s))):
+        g = group_spec(rs, _minimal_generators(sub, hnf))
+        if g.pi1_order != len(sub):
+            raise LatticeConsistencyError(f"|pi1| of {g.form} is not {len(sub)}")
+        out.append(g)
     return out
-
-
-def _form_label(generators, order: int, center_order: int) -> str:
-    """The form of a group with these reduced pi1 generators and |pi1| =
-    order: sc without generators, adj when pi1 is the whole center, else
-    pi1=[...] of the generators."""
-    if not generators:
-        return "sc"
-    if order == center_order:
-        return "adj"
-    return "pi1=[" + ";".join(",".join(map(str, g)) for g in generators) + "]"
 
 
 class GroupSpec(NamedTuple):
     """A compact connected form: root system plus fundamental-group generators.
 
-    pi1_generators are coset representatives modulo the root lattice; the
-    empty tuple means simply connected.  form is the label group_spec decides
+    pi1_generators are the minimal generators of pi1 in the center (coset
+    representatives modulo the root lattice, picked by _minimal_generators);
+    the empty tuple means simply connected.  Every way of writing one
+    subgroup gives the same record.  form is the label group_spec decides
     once: "adj" for a group requested as adjoint (even when the center is
     trivial, as for E8, F4 and G2) or whose pi1 is the whole center, "sc"
-    otherwise when there are no generators, else "pi1=[...]".  theta is the
-    unit-lattice basis (unit_lattice_basis) and pi1_order is |pi1|.
+    otherwise when there are no generators, else "pi1=[...]" of
+    pi1_generators.  theta is the unit-lattice basis (unit_lattice_basis)
+    and pi1_order is |pi1|.
     """
 
     root_system: RootSystem
@@ -171,28 +148,32 @@ class GroupSpec(NamedTuple):
 
 def group_spec(rs: RootSystem, generators=(), weight_basis: bool = False) -> GroupSpec:
     hnf = exactlin.hermite_normal_form(rs.cartan)
-    reduced = []
+    seed = []
     for g in generators:
         g = tuple(int(x) for x in g)
         if len(g) != rs.rank:
             raise ValueError(
                 f"fundamental-group generator {g} has length {len(g)}, expected {rs.rank}"
             )
-        r = _reduce_mod_row_lattice(g, hnf)
-        if any(r):
-            reduced.append(r)
-    order = len(_closure(reduced, hnf, rs.rank))
+        seed.append(g)
+    pi1 = _closure(seed, hnf)
+    gens = _minimal_generators(pi1, hnf)
     # |center| = |det cartan| = the product of the Hermite diagonal.
-    center_order = prod(hnf[i][i] for i in range(rs.rank))
-    if weight_basis and order != center_order:
+    full = len(pi1) == prod(hnf[i][i] for i in range(rs.rank))
+    if weight_basis and not full:
         raise ValueError("weight_basis requires the full center as pi1")
-    form = "adj" if weight_basis else _form_label(reduced, order, center_order)
+    if weight_basis or (gens and full):
+        form = "adj"
+    elif not gens:
+        form = "sc"
+    else:
+        form = "pi1=[" + ";".join(",".join(map(str, g)) for g in gens) + "]"
     return GroupSpec(
         root_system=rs,
-        pi1_generators=tuple(reduced),
+        pi1_generators=gens,
         form=form,
-        theta=unit_lattice_basis(rs, reduced, form == "adj"),
-        pi1_order=order,
+        theta=unit_lattice_basis(rs, gens, form == "adj"),
+        pi1_order=len(pi1),
     )
 
 
@@ -224,17 +205,11 @@ def unit_lattice_basis(rs: RootSystem, generators, adjoint: bool) -> Matrix:
 
 
 def hermite_coordinates(theta: Matrix, v: Vector) -> Vector:
-    """The integer x with x @ theta = v, for a basis theta in Hermite form
-    (upper triangular, nonzero diagonal), by forward substitution."""
-    x: list[int] = []
-    for j in range(len(v)):
-        q, r = divmod(v[j] - sum(x[i] * theta[i][j] for i in range(j)), theta[j][j])
-        if r:
-            raise LatticeConsistencyError(
-                f"{v} is not integral in the unit lattice basis"
-            )
-        x.append(q)
-    return tuple(x)
+    """The integer x with x @ theta = v, for a basis theta in Hermite form."""
+    x, r = _hermite_divide(theta, v)
+    if any(r):
+        raise LatticeConsistencyError(f"{v} is not integral in the unit lattice basis")
+    return x
 
 
 def theta_coordinates(g: GroupSpec, roots, coefficients) -> tuple[Vector, ...]:

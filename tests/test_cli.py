@@ -61,6 +61,11 @@ class TestSpecParsing:
         ("A2:pi1=[1,1;0,0;x]", 16),
         ("A3:pi1=[1,0]", 8),
         ("A3:pi1=[1,0,0;1,0]", 14),
+        ("A2:pi1=[1_0,1]", 8),
+        ("A2:pi1=[\u0661,0]", 8),
+        ("A2:pi1=[1,1;0,\uff12]", 12),
+        ("A2:pi1=[1,+-1]", 8),
+        ("A2:pi1=[\t]", 8),
     ])
     def test_bad_generator_reports_its_offset(self, spec, offset):
         with pytest.raises(GroupSpecParseError) as exc:

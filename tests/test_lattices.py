@@ -57,11 +57,11 @@ class TestSubgroupEnumeration:
         ("E8", 1),   # trivial
     ])
     def test_subgroup_counts(self, name, count):
-        c = center_group(cached_root_system(name))
-        subs = enumerate_pi1_choices(c)
+        rs = cached_root_system(name)
+        subs = enumerate_pi1_choices(rs)
         assert len(subs) == count
-        assert subs[0].order == 1
-        assert subs[-1].order == c.order
+        assert subs[0].pi1_order == 1
+        assert subs[-1].pi1_order == center_group(rs).order
 
     @pytest.mark.parametrize("name", ALL_TYPES)
     def test_full_center_is_the_hnf_box(self, name):
@@ -71,16 +71,50 @@ class TestSubgroupEnumeration:
         rs = cached_root_system(name)
         h = hermite_normal_form(rs.cartan)
         box = tuple(itertools.product(*(range(h[i][i]) for i in range(rs.rank))))
-        elements = enumerate_pi1_choices(center_group(rs))[-1].elements
+        elements = tuple(sorted(lattices._closure(identity(rs.rank), h)))
         assert elements == box
         assert len(elements) == abs(det(rs.cartan))
+        assert enumerate_pi1_choices(rs)[-1].pi1_order == len(box)
 
     def test_d4_labels_stable(self):
-        c = center_group(cached_root_system("D4"))
-        labels = [s.label for s in enumerate_pi1_choices(c)]
+        rs = cached_root_system("D4")
+        labels = [g.form for g in enumerate_pi1_choices(rs)]
         assert labels[0] == "sc" and labels[-1] == "adj"
         assert len(set(labels)) == len(labels)
-        assert enumerate_pi1_choices(c) == enumerate_pi1_choices(c)
+        assert enumerate_pi1_choices(rs) == enumerate_pi1_choices(rs)
+
+    def test_record_of_the_wrong_order_is_a_consistency_error(self, monkeypatch):
+        original = lattices.group_spec
+
+        def off_by_one(rs, generators=()):
+            g = original(rs, generators)
+            return g._replace(pi1_order=g.pi1_order + 1)
+
+        monkeypatch.setattr(lattices, "group_spec", off_by_one)
+        with pytest.raises(LatticeConsistencyError, match="is not 1"):
+            enumerate_pi1_choices(cached_root_system("A2"))
+
+    @pytest.mark.parametrize("name", ALL_TYPES)
+    def test_every_spelling_of_a_subgroup_gives_its_record(self, name):
+        # One or two generators from the box of coset representatives, and
+        # the multiples k omega_i (k <= 3), name each subgroup many ways; each
+        # spelling must parse to the record that enumerate_pi1_choices gives
+        # for the same unit lattice.
+        rs = cached_root_system(name)
+        h = hermite_normal_form(rs.cartan)
+        box = list(itertools.product(*(range(h[i][i]) for i in range(rs.rank))))
+        by_theta = {g.theta: g for g in enumerate_pi1_choices(rs)}
+        spellings = [[v] for v in box] + [[v, w] for v in box for w in box]
+        spellings += [[tuple(k * x for x in w)] for w in identity(rs.rank) for k in (1, 2, 3)]
+        wrong = []
+        for gens in spellings:
+            spec = f"{name}:pi1=[" + ";".join(",".join(map(str, v)) for v in gens) + "]"
+            g = parse_group_spec(spec)
+            want = by_theta[g.theta]
+            got = (canonical_spec_string(g), g.pi1_order)
+            if got != (canonical_spec_string(want), want.pi1_order):
+                wrong.append((spec, got))
+        assert wrong == []
 
 
 class TestUnitLattice:
@@ -114,14 +148,12 @@ class TestUnitLattice:
 
     def test_intermediate_d4(self):
         rs = cached_root_system("D4")
-        subs = enumerate_pi1_choices(center_group(rs))
-        proper = [s for s in subs if 1 < s.order < 4]
+        proper = [g for g in enumerate_pi1_choices(rs) if 1 < g.pi1_order < 4]
         assert len(proper) == 3
-        for s in proper:
-            g = group_spec(rs, s.generators)
-            assert g.form == s.label != "sc" and g.pi1_generators
-            assert g.pi1_order == s.order != center_group(rs).order
-            assert abs(det(g.theta)) == abs(det(rs.cartan)) // s.order
+        for g in proper:
+            assert g.form.startswith("pi1=") and g.pi1_generators
+            assert group_spec(rs, g.pi1_generators) == g
+            assert abs(det(g.theta)) == abs(det(rs.cartan)) // g.pi1_order
 
 
 class TestHermiteCoordinates:
@@ -167,14 +199,13 @@ class TestTransitionMatrix:
     @pytest.mark.parametrize("name", ALL_TYPES)
     def test_det_equals_lattice_index(self, name):
         rs = cached_root_system(name)
-        for sub in enumerate_pi1_choices(center_group(rs)):
-            g = group_spec(rs, sub.generators)
+        for g in enumerate_pi1_choices(rs):
             c = transition_matrix(g)
             # independent index computation: quotient of lattice indices via
             # the unit-lattice determinant
             index = abs(det(rs.cartan)) // abs(det(g.theta))
-            assert abs(det(c)) == index == sub.order
-            assert (c == identity(rs.rank)) == (sub.order == 1)
+            assert abs(det(c)) == index == g.pi1_order
+            assert (c == identity(rs.rank)) == (g.pi1_order == 1)
 
     def test_non_integral_simple_root_is_a_consistency_error(self):
         # theta = (4) for A1: the simple root (2) is 1/2 of it.
@@ -184,8 +215,8 @@ class TestTransitionMatrix:
 
     def test_row_lattice_sandwich(self):
         rs = cached_root_system("D5")
-        for sub in enumerate_pi1_choices(center_group(rs)):
-            theta = group_spec(rs, sub.generators).theta
+        for g in enumerate_pi1_choices(rs):
+            theta = g.theta
             # every simple root is integral in theta; theta is integral in Z^n
             solve_integral(transpose(theta), transpose(rs.cartan))
             assert all(isinstance(x, int) for row in theta for x in row)
@@ -212,24 +243,24 @@ class TestTransitionMatrix:
 
 
 def every_form():
-    """(type, subgroup) for every pi1 subgroup of every type of rank <= 8,
+    """(type, record) for every pi1 subgroup of every type of rank <= 8,
     and (type, None) for its adjoint_spec: 114 forms."""
     for name in ALL_TYPES:
-        for sub in enumerate_pi1_choices(center_group(cached_root_system(name))):
-            yield pytest.param(name, sub, id=f"{name}:{sub.label}")
+        for g in enumerate_pi1_choices(cached_root_system(name)):
+            yield pytest.param(name, g, id=f"{name}:{g.form}")
         yield pytest.param(name, None, id=f"{name}:adjoint_spec")
 
 
 @pytest.mark.parametrize("name,sub", list(every_form()))
 def test_each_form_is_decided_once(name, sub):
     rs = cached_root_system(name)
-    g = adjoint_spec(rs) if sub is None else group_spec(rs, sub.generators)
+    g = adjoint_spec(rs) if sub is None else sub
     # |center| as group_spec reads it, the product of the Hermite diagonal.
     h = hermite_normal_form(rs.cartan)
     center = math.prod(h[i][i] for i in range(rs.rank))
     assert center == abs(det(rs.cartan))
     if sub is not None:
-        assert g.form == sub.label and g.pi1_order == sub.order
+        assert group_spec(rs, g.pi1_generators) == g
     if g.form == "adj":
         assert g.pi1_order == center and g.theta == identity(rs.rank)
     label = canonical_spec_string(g)
@@ -253,9 +284,9 @@ def test_parsing_runs_no_rational_solve(monkeypatch):
     # Hermite form alone.
     specs = []
     for name in ALL_TYPES:
-        choices = enumerate_pi1_choices(center_group(cached_root_system(name)))
+        choices = enumerate_pi1_choices(cached_root_system(name))
         specs += [f"{name}:sc", f"{name}:adj"]
-        specs += [f"{name}:{c.label}" for c in choices if c.label.startswith("pi1")]
+        specs += [f"{name}:{c.form}" for c in choices if c.form.startswith("pi1")]
 
     def no_solve(m, b):
         raise AssertionError("solve_rational called")

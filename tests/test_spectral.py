@@ -29,7 +29,7 @@ from transgress import (
 )
 from transgress import lattices, spectral
 from transgress.exactlin import rank
-from transgress.lattices import center_group, enumerate_pi1_choices
+from transgress.lattices import enumerate_pi1_choices
 from transgress.rootdata import invariant_degrees
 from transgress.spectral import WeylCapExceededError
 from transgress.transgression import modp_analysis, transgression_matrix
@@ -405,11 +405,7 @@ class TestE2Page:
         # coordinate.
         rs = cached_root_system(name)
         weyl = weyl_group(rs, max_length=0)
-        forms = [adjoint_spec(rs)] + [
-            group_spec(rs, sub.generators)
-            for sub in enumerate_pi1_choices(center_group(rs))
-        ]
-        for g in forms:
+        for g in [adjoint_spec(rs)] + enumerate_pi1_choices(rs):
             tau = transgression_matrix(g).matrix
             want = tuple(
                 tuple(sum(t * c for t, c in zip(tau_g, coeffs)) for tau_g in tau)

@@ -3,7 +3,6 @@ import pytest
 from conftest import ALL_TYPES, cached_root_system
 from transgress import (
     adjoint_spec,
-    center_group,
     enumerate_pi1_choices,
     group_spec,
     modp_analysis,
@@ -103,9 +102,7 @@ class TestSingularPrimes:
         # singular_primes reads |pi1| off the closure count in group_spec;
         # the oracle factors |det tau| from the Fraction solve instead.
         rs = cached_root_system(name)
-        forms = [group_spec(rs, c.generators)
-                 for c in enumerate_pi1_choices(center_group(rs))]
-        for g in forms + [adjoint_spec(rs)]:
+        for g in enumerate_pi1_choices(rs) + [adjoint_spec(rs)]:
             d = abs(det(transgression_matrix(g).matrix))
             primes = [p for p in range(2, d + 1)
                       if d % p == 0 and all(p % q for q in range(2, p))]

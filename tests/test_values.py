@@ -13,7 +13,6 @@ from transgress import (
     build_e2,
     center_group,
     e3_ranks,
-    enumerate_pi1_choices,
     group_spec,
     modp_analysis,
     parse_group_spec,
@@ -29,7 +28,6 @@ def _values():
     return [
         FixtureResult("name", True, ""),
         center_group(rs),
-        enumerate_pi1_choices(center_group(rs))[-1],
         g,
         rs.lie_type,
         rs,
