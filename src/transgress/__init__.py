@@ -9,7 +9,6 @@ from .exactlin import (
 )
 from .groupspec import GroupSpecParseError, parse_group_spec
 from .lattices import (
-    CenterGroup,
     GroupSpec,
     adjoint_spec,
     center_group,
@@ -29,8 +28,6 @@ from .spectral import (
     weyl_group,
 )
 from .transgression import (
-    ModPAnalysis,
-    TransgressionMap,
     modp_analysis,
     singular_primes,
     transgression_matrix,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -73,6 +74,7 @@ def cmd_describe(args, out) -> int:
     g = parse_group_spec(args.spec)
     rs = g.root_system
     center = lattices.center_group(rs)
+    order = math.prod(center)
     n = rs.rank
     spec = canonical_spec_string(g)
     payload = {
@@ -85,8 +87,8 @@ def cmd_describe(args, out) -> int:
             [f"phi_{j}" for j in range(1, n + 1)],
         ),
         "simple_roots": [list(v) for v in rs.simple_roots],
-        "center_invariant_factors": list(center.invariant_factors),
-        "center_order": center.order,
+        "center_invariant_factors": list(center),
+        "center_order": order,
         "pi1_order": g.pi1_order,
         "theta": _matrix_payload(
             g.theta,
@@ -104,12 +106,8 @@ def cmd_describe(args, out) -> int:
         _render_matrix(payload["cartan"], out)
         out.write(
             "center: "
-            + (
-                " x ".join(f"Z{f}" for f in center.invariant_factors)
-                if center.invariant_factors
-                else "trivial"
-            )
-            + f" (order {center.order})\n"
+            + (" x ".join(f"Z{f}" for f in center) if center else "trivial")
+            + f" (order {order})\n"
         )
         out.write(f"fundamental group order: {payload['pi1_order']}\n")
         out.write("unit lattice basis (rows, weight coordinates):\n")
@@ -120,23 +118,28 @@ def cmd_describe(args, out) -> int:
 def cmd_tau(args, out) -> int:
     g = parse_group_spec(args.spec)
     tau = transgression.transgression_matrix(g)
+    n = g.rank
     payload = {
-        "matrix": _matrix_payload(tau.matrix, tau.domain_labels, tau.codomain_labels),
-        "det": det(tau.matrix),
+        "matrix": _matrix_payload(
+            tau,
+            [f"t_{i}" for i in range(1, n + 1)],
+            [f"omega_{j}" for j in range(1, n + 1)],
+        ),
+        "det": det(tau),
         "singular_primes": transgression.singular_primes(g),
     }
     if args.mod is not None:
-        analysis = transgression.modp_analysis(g, args.mod)
+        kernel, cokernel = transgression.modp_analysis(g, args.mod)
         payload["mod"] = {
             "p": args.mod,
-            "is_isomorphism": analysis.is_isomorphism,
+            "is_isomorphism": not kernel and not cokernel,
             "kernel": [
                 {"coeffs": list(v), "label": format_combination(v, "t")}
-                for v in analysis.kernel
+                for v in kernel
             ],
             "cokernel": [
                 {"coeffs": list(v), "label": format_combination(v, "omega")}
-                for v in analysis.cokernel
+                for v in cokernel
             ],
         }
     doc = _document("tau", canonical_spec_string(g), payload)

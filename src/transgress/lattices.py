@@ -4,15 +4,16 @@ In fundamental-weight coordinates the weight lattice is Z^n and the root
 lattice is the row lattice of the Cartan matrix.  A compact form of the
 group is pinned down by a subgroup of the center (= weight/root quotient),
 given by generators; the unit lattice is the root lattice enlarged by those
-generators.  The center is known by its invariant factors (the Smith
-diagonal of the Cartan matrix), and the fundamental weights generate it.
-group_spec decides the lattice facts of a form once: it closes the
-generators to the subgroup pi1, keeps its minimal generators, counts pi1,
-names the form from those generators (sc, adj or pi1=[...]), so that every
-way of writing one subgroup gives one record, and takes the basis theta of
-the unit lattice from unit_lattice_basis.  enumerate_pi1_choices gives the
-group_spec of every subgroup.  The transition matrix C expresses the simple
-roots in theta, and its transpose is the transgression matrix downstream.
+generators.  center_group returns the center's invariant factors > 1 (the
+Smith diagonal of the Cartan matrix); the fundamental weights generate it.
+group_spec returns the GroupSpec record that decides the lattice facts of a
+form once: it closes the generators to the subgroup pi1, keeps its minimal
+generators, counts pi1, names the form from those generators (sc, adj or
+pi1=[...]), so that every way of writing one subgroup gives one record, and
+takes the basis theta of the unit lattice from unit_lattice_basis.
+enumerate_pi1_choices returns the list of the group_spec of every subgroup.
+transition_matrix returns the integer matrix C that expresses the simple
+roots in theta; its transpose is the matrix transgression_matrix returns.
 _hermite_divide is the one division by a Hermite basis: its remainder
 reduces a coset modulo the root lattice, and its quotient, in
 hermite_coordinates, writes a vector in a Hermite theta in integers with no
@@ -49,19 +50,10 @@ def _hermite_divide(h: Matrix, v: Vector) -> tuple[Vector, Vector]:
     return tuple(x), tuple(r)
 
 
-class CenterGroup(NamedTuple):
-    """Weight lattice / root lattice, i.e. the center of the 1-connected form."""
-
-    invariant_factors: tuple[int, ...]
-
-    @property
-    def order(self) -> int:
-        return prod(self.invariant_factors)
-
-
-def center_group(rs: RootSystem) -> CenterGroup:
-    factors = exactlin.invariant_factors(rs.cartan)
-    return CenterGroup(invariant_factors=tuple(d for d in factors if d > 1))
+def center_group(rs: RootSystem) -> tuple[int, ...]:
+    """The invariant factors > 1 of weight lattice / root lattice, i.e. of
+    the center of the 1-connected form; their product is its order."""
+    return tuple(d for d in exactlin.invariant_factors(rs.cartan) if d > 1)
 
 
 def _extend(span: frozenset[Vector], g: Vector, hnf: Matrix) -> frozenset[Vector]:

@@ -229,7 +229,7 @@ def reference_d2(page):
     cells = reference_cells(page)
     rs = page.group.root_system
     covers = reference_covers(page.weyl)
-    tau = transgression_matrix(page.group).matrix
+    tau = transgression_matrix(page.group)
     paired = {
         beta: tuple(
             int(sum(t * c for t, c in zip(tau_g, root_coordinates(rs, beta))))

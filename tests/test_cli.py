@@ -448,10 +448,20 @@ def test_high_rank_low_degree_pages_fit_in_one_gib(argv):
 
 # sha256 of the stdout of each call, recorded before the mod-p eliminator and
 # the d2 assembly were rewritten (the E8 page before its d2 rows became
-# sparse); the output must stay byte-identical.
+# sparse; describe D5:adj, describe E6, tau E7:adj and tau A3:pi1=[0,1,0]
+# before the CLI built the row labels, the isomorphism flag and the center's
+# order itself); the output must stay byte-identical.
 GOLDEN_STDOUT_SHA256 = {
     "describe D4:adj --json":
         "ac5b4a6a6755b07a89f8ba2ad036ae6852c7f5a27b9dc4d12b92d736e7ad0698",
+    "describe D5:adj --json":
+        "3142ae7f465aa8f8e02061fe230314460eeaddc40a1666dbbaefb9c6cfa2fea6",
+    "describe E6":
+        "30bcbc15d28357c7ced35a59a0d6e3e615e112ab1ab5d95ede6db774c77e67ac",
+    "tau E7:adj --mod 2 --json":
+        "559b86c37512157b0a301e19ca3295a513d87d643feeb588f3f9974ccb5c3964",
+    "tau A3:pi1=[0,1,0] --mod 3":
+        "a64411b9ad7346b2befb9c1f8347e7ab921885a7b876c8a138d426df1bb87dda",
     "tau C3:adj --mod 2 --json":
         "9830eee3ba3b4c3e19d27a67b8d57e6559f838a8106c53bddf3a597b04de21e1",
     "tau D4:pi1=[1,0,1,0] --mod 2":

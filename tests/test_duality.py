@@ -7,7 +7,8 @@ test checks that on whole pages, which share no code with the mirror; the
 others check that `transgress e3`, which builds a page only to dim G // 2
 and mirrors the rest, gives what the whole page gives.  Each whole page is
 also checked against Kac's factorisation (conftest.kac_factorisation), which
-ties every row to row 0.
+ties every row to row 0; so is each whole page of the fixture corpus, whose
+mirrored series must also be the corpus's hand-expanded ranks.
 """
 
 import functools
@@ -18,6 +19,8 @@ import pytest
 from conftest import kac_factorisation
 from transgress import build_e2, e3_ranks, parse_group_spec
 from transgress.cli import main
+from transgress.fixtures import load_corpus
+from transgress.groupspec import canonical_spec_string
 from transgress.rootdata import invariant_degrees
 from transgress.spectral import mirror_ranks
 
@@ -27,6 +30,23 @@ SPECS = [
 ]
 FIELDS = [None, 2, 3]
 PAGES = [(spec, p) for spec in SPECS for p in FIELDS]
+
+
+def _canonical(spec, p):
+    return canonical_spec_string(parse_group_spec(spec)), p
+
+
+# The e3_modp entries of the corpus that reach dim G: 20 of 27.
+CORPUS_PAGES = [
+    pytest.param(fx["spec"], fx["p"], fx["ranks"], id=fx["name"])
+    for fx in load_corpus()
+    if fx["kind"] == "e3_modp"
+    and fx["up_to"] == parse_group_spec(fx["spec"]).root_system.lie_type.dim_group
+]
+# Those that PAGES does not build, which test_whole_page_is_kacs_factorisation
+# does not see.
+BUILT = {_canonical(spec, p) for spec, p in PAGES}
+UNBUILT = [c for c in CORPUS_PAGES if _canonical(*c.values[:2]) not in BUILT]
 
 
 @functools.lru_cache(maxsize=None)
@@ -76,6 +96,27 @@ def test_whole_page_is_kacs_factorisation(spec, p):
     if p is None:
         # Over Q, R = Q and the y_i are the primitive generators x_(2d - 1).
         assert degrees == invariant_degrees(t)
+
+
+def test_corpus_has_twenty_whole_pages():
+    assert (len(CORPUS_PAGES), len(UNBUILT)) == (20, 12)
+
+
+@pytest.mark.parametrize("spec,p,ranks", UNBUILT)
+def test_corpus_whole_page_is_kacs_factorisation(spec, p, ranks):
+    t = parse_group_spec(spec).root_system.lie_type
+    whole = whole_page_ranks(spec, p)
+    assert list(whole.as_tuple(t.dim_group)) == ranks
+    kac_factorisation(whole, t)
+
+
+@pytest.mark.parametrize("spec,p,ranks", CORPUS_PAGES)
+def test_cli_mirrored_series_is_corpus_ranks(spec, p, ranks, capsys):
+    # The CLI builds the page to dim G // 2 and mirrors the rest.
+    dim_g = parse_group_spec(spec).root_system.lie_type.dim_group
+    payload = cli_e3(capsys, spec, p)
+    assert payload["ranks"] == [[d, r] for d, r in enumerate(ranks)]
+    assert len(ranks) == dim_g + 1
 
 
 @pytest.mark.parametrize("spec,p", PAGES)

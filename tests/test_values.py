@@ -11,12 +11,9 @@ from conftest import cached_root_system
 from transgress import (
     LieType,
     build_e2,
-    center_group,
     e3_ranks,
     group_spec,
-    modp_analysis,
     parse_group_spec,
-    transgression_matrix,
 )
 from transgress.fixtures import FixtureResult
 
@@ -27,14 +24,11 @@ def _values():
     page = build_e2(g, coefficients=3)
     return [
         FixtureResult("name", True, ""),
-        center_group(rs),
         g,
         rs.lie_type,
         rs,
         page,
         e3_ranks(page),
-        transgression_matrix(g),
-        modp_analysis(g, 3),
     ]
 
 
